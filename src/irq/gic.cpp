@@ -1,22 +1,27 @@
 #include "irq/gic.hpp"
 
-#include <vector>
+#include <bit>
 
 #include "util/assert.hpp"
 
 namespace minova::irq {
 
-Gic::Gic(u32 num_irqs) { state_.resize(num_irqs); }
+Gic::Gic(u32 num_irqs) {
+  MINOVA_CHECK(num_irqs <= ready_.size() * 64);
+  state_.resize(num_irqs);
+}
 
 void Gic::enable_irq(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].enabled = true;
+  refresh_ready(id);
   update_line();
 }
 
 void Gic::disable_irq(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].enabled = false;
+  refresh_ready(id);
   update_line();
 }
 
@@ -40,6 +45,7 @@ void Gic::raise(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].pending = true;
   ++raised_count_;
+  refresh_ready(id);
   update_line();
 }
 
@@ -51,6 +57,7 @@ bool Gic::is_pending(u32 id) const {
 void Gic::clear_pending(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].pending = false;
+  refresh_ready(id);
   update_line();
 }
 
@@ -65,14 +72,31 @@ u8 Gic::target_mask(u32 id) const {
   return state_[id].targets;
 }
 
+void Gic::refresh_ready(u32 id) {
+  const IrqState& s = state_[id];
+  const u64 bit = u64(1) << (id % 64);
+  if (s.enabled && s.pending && !s.active)
+    ready_[id / 64] |= bit;
+  else
+    ready_[id / 64] &= ~bit;
+}
+
 int Gic::highest_pending(u8 cpu_mask) const {
+  // Ascending id order with a strict `<` keeps the lowest id on a
+  // priority tie, exactly as a full 0..N scan would.
   int best = -1;
-  for (u32 i = 0; i < state_.size(); ++i) {
-    const IrqState& s = state_[i];
-    if (!s.enabled || !s.pending || s.active) continue;
-    if ((s.targets & cpu_mask) == 0) continue;
-    if (s.prio >= priority_mask_) continue;
-    if (best < 0 || s.prio < state_[u32(best)].prio) best = int(i);
+  u8 best_prio = 0;
+  for (u32 w = 0; w < ready_.size(); ++w) {
+    for (u64 bits = ready_[w]; bits != 0; bits &= bits - 1) {
+      const u32 i = w * 64 + u32(std::countr_zero(bits));
+      const IrqState& s = state_[i];
+      if ((s.targets & cpu_mask) == 0) continue;
+      if (s.prio >= priority_mask_) continue;
+      if (best < 0 || s.prio < best_prio) {
+        best = int(i);
+        best_prio = s.prio;
+      }
+    }
   }
   return best;
 }
@@ -90,6 +114,7 @@ u32 Gic::acknowledge_for(u8 cpu_mask) {
   s.pending = false;
   s.active = true;
   ++acked_count_;
+  refresh_ready(u32(id));
   update_line();
   return u32(id);
 }
@@ -97,6 +122,7 @@ u32 Gic::acknowledge_for(u8 cpu_mask) {
 void Gic::eoi(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].active = false;
+  refresh_ready(id);
   update_line();
 }
 

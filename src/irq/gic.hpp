@@ -8,6 +8,7 @@
 // §III.B) and writes EOI before injecting the virtual IRQ.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -83,9 +84,15 @@ class Gic {
   };
 
   int highest_pending(u8 cpu_mask) const;  // index or -1
+  /// Recomputes `id`'s bit in `ready_` after a state change.
+  void refresh_ready(u32 id);
   void update_line();
 
   std::vector<IrqState> state_;
+  // Bit i set <=> state_[i] is enabled, pending and not active. Target and
+  // priority masks are applied at scan time, so only the set bits are
+  // ever visited (DESIGN.md §10.5).
+  std::array<u64, 2> ready_{};
   u8 priority_mask_ = 0xFF;  // 0xFF = no masking
   IrqLine irq_line_;
   bool line_state_ = false;

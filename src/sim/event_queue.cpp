@@ -8,29 +8,44 @@ namespace minova::sim {
 
 EventQueue::EventId EventQueue::schedule_at(cycles_t when, Callback cb) {
   MINOVA_CHECK(cb != nullptr);
-  const EventId id = callbacks_.size();
-  callbacks_.push_back(std::move(cb));
+  u32 slot;
+  if (free_slots_.empty()) {
+    slot = u32(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].cb = std::move(cb);
+  const EventId id = (EventId(slots_[slot].gen) << 32) | slot;
   heap_.push(Event{when, next_seq_++, id});
   ++live_count_;
   return id;
 }
 
-bool EventQueue::cancel(EventId id) {
-  if (id >= callbacks_.size() || !callbacks_[id]) return false;
-  callbacks_[id] = nullptr;  // lazily dropped when popped
+void EventQueue::release(EventId id) {
+  Slot& s = slots_[slot_of(id)];
+  s.cb = nullptr;
+  ++s.gen;
+  free_slots_.push_back(slot_of(id));
   --live_count_;
+}
+
+bool EventQueue::cancel(EventId id) {
+  if (!live(id)) return false;
+  release(id);  // its heap entry is dropped when it reaches the top
   return true;
 }
 
 std::size_t EventQueue::run_due(cycles_t now) {
   std::size_t fired = 0;
   while (!heap_.empty() && heap_.top().when <= now) {
-    const Event ev = heap_.top();
+    const EventId id = heap_.top().id;
     heap_.pop();
-    Callback cb = std::move(callbacks_[ev.id]);
-    callbacks_[ev.id] = nullptr;
-    if (!cb) continue;  // was cancelled
-    --live_count_;
+    if (!live(id)) continue;  // was cancelled
+    // Free the slot before the call: the callback may schedule into it.
+    Callback cb = std::move(slots_[slot_of(id)].cb);
+    release(id);
     cb();
     ++fired;
   }
@@ -38,18 +53,10 @@ std::size_t EventQueue::run_due(cycles_t now) {
 }
 
 bool EventQueue::next_deadline(cycles_t& out) const {
-  // The heap may contain cancelled entries; peek past them without mutating
-  // state by copying (heap is small: device events only).
-  auto copy = heap_;
-  while (!copy.empty()) {
-    const Event& ev = copy.top();
-    if (callbacks_[ev.id]) {
-      out = ev.when;
-      return true;
-    }
-    copy.pop();
-  }
-  return false;
+  while (!heap_.empty() && !live(heap_.top().id)) heap_.pop();
+  if (heap_.empty()) return false;
+  out = heap_.top().when;
+  return true;
 }
 
 }  // namespace minova::sim

@@ -20,6 +20,10 @@ namespace minova::sim {
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+  /// Callback slot in the low 32 bits, that slot's generation in the high
+  /// 32. A slot's generation advances whenever its event fires or is
+  /// cancelled, so the id of a finished event never matches the event that
+  /// reuses the slot.
   using EventId = u64;
 
   /// Schedule `cb` to fire once the clock reaches `when` (absolute cycles).
@@ -35,6 +39,8 @@ class EventQueue {
   std::size_t run_due(cycles_t now);
 
   /// Deadline of the earliest pending event, or no value if empty.
+  /// Drops cancelled entries off the top of the heap on the way (an
+  /// internal cache; the set of pending events does not change).
   bool next_deadline(cycles_t& out) const;
 
   bool empty() const { return live_count_ == 0; }
@@ -51,10 +57,28 @@ class EventQueue {
       return seq > o.seq;
     }
   };
+  struct Slot {
+    Callback cb;
+    u32 gen = 1;  // starts at 1 so that id 0 never names a live event
+  };
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  // Callback storage indexed by id; empty function == cancelled.
-  std::vector<Callback> callbacks_;
+  static u32 slot_of(EventId id) { return u32(id); }
+  static u32 gen_of(EventId id) { return u32(id >> 32); }
+  /// True while the event `id` has neither fired nor been cancelled.
+  bool live(EventId id) const {
+    const u32 slot = slot_of(id);
+    return slot < slots_.size() && slots_[slot].gen == gen_of(id) &&
+           slots_[slot].cb != nullptr;
+  }
+  /// Empties `id`'s slot, retires its generation and recycles it.
+  void release(EventId id);
+
+  // Cancelled events stay in the heap until they reach the top, where
+  // run_due or next_deadline drops them.
+  mutable std::priority_queue<Event, std::vector<Event>, std::greater<>>
+      heap_;
+  std::vector<Slot> slots_;
+  std::vector<u32> free_slots_;
   u64 next_seq_ = 0;
   std::size_t live_count_ = 0;
 };
