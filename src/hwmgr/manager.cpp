@@ -144,43 +144,43 @@ int ManagerService::select_prr(GuestContext& ctx,
   return reclaimable;
 }
 
-void ManagerService::reclaim_from(GuestContext& ctx, u32 prr_idx) {
-  ctx.exec(rg_consistency_);
-  ctx.spend_insns(costs_.insns_consistency);
+// ---- one grant pipeline (DESIGN.md §15.1) ------------------------------------
+//
+// Every protocol step below runs from either context: a request context
+// (`ctx` non-null, the manager's hypercall window, every device access
+// charged through its VA windows) or an event context (`ctx` null: the
+// wait-queue pump, a backoff retry, client teardown), where device
+// accesses go straight over the physical bus at zero simulated cost.
+
+namespace {
+constexpr paddr_t kPlGlobal = mem::kPrrGlobalRegsBase;
+constexpr paddr_t kPcap = mem::kDevcfgBase;
+
+// The manager's window onto a device page.
+vaddr_t window_va(paddr_t dev) {
+  return dev == kPcap ? nova::manager_pcap_va() : nova::manager_pl_ctrl_va();
+}
+}  // namespace
+
+u32 ManagerService::dev_read(GuestContext* ctx, paddr_t dev, u32 reg) {
+  if (ctx != nullptr) return ctx->read32(window_va(dev) + reg).value;
+  u32 v = 0;
+  (void)kernel_.platform().bus().read32(dev + reg, v);
+  return v;
+}
+
+void ManagerService::dev_write(GuestContext* ctx, paddr_t dev, u32 reg,
+                               u32 v) {
+  if (ctx != nullptr)
+    (void)ctx->write32(window_va(dev) + reg, v);
+  else
+    (void)kernel_.platform().bus().write32(dev + reg, v);
+}
+
+void ManagerService::unbind(u32 prr_idx) {
   PrrTableEntry& entry = prr_table_[prr_idx];
-  nova::ProtectionDomain* old_client = kernel_.pd_by_id(entry.client);
-  if (old_client == nullptr) return;
-  ++stats_.reclaims;
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kHwReclaim, prr_idx,
-                                  entry.client);
-
-  // Read the interface register group through the static logic (manager's
-  // authority over the fabric) — 8 uncached device reads.
-  auto& core = ctx.core();
-  const auto& prrctl = kernel_.platform().prr_controller();
-  std::array<u32, 8> regs{};
-  for (u32 w = 0; w < 8; ++w) {
-    u32 v = 0;
-    (void)kernel_.platform().bus().read32(
-        prrctl.reg_group_pa(prr_idx) + w * 4, v);
-    regs[w] = v;
-    core.spend(core.caches().access_device());
-  }
-  last_reclaim_regs_ = regs;
-
-  // Save register contents + inconsistent flag into the old client's data
-  // section (§IV.C / Fig. 5).
-  std::array<u32, kConsistencyWords> record{};
-  record[0] = kStateInconsistent;
-  record[1] = entry.task;
-  for (u32 w = 0; w < 8; ++w) record[2 + w] = regs[w];
-  kernel_.svc_write_client_data(*pd_, entry.client,
-                                consistency_offset(old_client->hw_data_size),
-                                record);
-
-  // Demap the interface page from the old client — but only when its VA
-  // still points at *this* region (a later grant may have retargeted it).
+  // Demap the interface page from the client — but only when its VA still
+  // points at *this* region (a later grant may have retargeted it).
   if (entry.client_iface_va != 0) {
     const auto key = std::make_pair(entry.client, entry.client_iface_va);
     auto it = iface_map_.find(key);
@@ -189,10 +189,193 @@ void ManagerService::reclaim_from(GuestContext& ctx, u32 prr_idx) {
       iface_map_.erase(it);
     }
   }
-
   entry.client = nova::kInvalidPd;
   entry.client_iface_va = 0;
   ledger_[prr_idx] = LedgerEntry{};
+}
+
+void ManagerService::unbind_dark(u32 prr_idx) {
+  unbind(prr_idx);
+  prr_table_[prr_idx].task = hwtask::kInvalidTask;
+  prr_table_[prr_idx].reconfiguring = false;
+}
+
+std::array<u32, 8> ManagerService::save_and_unbind(GuestContext* ctx,
+                                                   u32 prr_idx) {
+  if (ctx != nullptr) {
+    ctx->exec(rg_consistency_);
+    ctx->spend_insns(costs_.insns_consistency);
+  }
+  PrrTableEntry& entry = prr_table_[prr_idx];
+  std::array<u32, 8> regs{};
+  auto& plat = kernel_.platform();
+  if (nova::ProtectionDomain* old_client = kernel_.pd_by_id(entry.client)) {
+    ++stats_.reclaims;
+    plat.trace().emit(plat.clock().now(), sim::TraceKind::kHwReclaim, prr_idx,
+                      entry.client);
+    // Read the interface register group through the static logic (manager's
+    // authority over the fabric) — 8 uncached device reads.
+    const paddr_t group = plat.prr_controller().reg_group_pa(prr_idx);
+    for (u32 w = 0; w < 8; ++w) {
+      (void)plat.bus().read32(group + w * 4, regs[w]);
+      if (ctx != nullptr)
+        ctx->core().spend(ctx->core().caches().access_device());
+    }
+    // Save register contents + inconsistent flag into the old client's data
+    // section (§IV.C / Fig. 5).
+    std::array<u32, kConsistencyWords> record{};
+    record[0] = kStateInconsistent;
+    record[1] = entry.task;
+    for (u32 w = 0; w < 8; ++w) record[2 + w] = regs[w];
+    kernel_.svc_write_client_data(*pd_, entry.client,
+                                  consistency_offset(old_client->hw_data_size),
+                                  record);
+  }
+  unbind(prr_idx);
+  return regs;
+}
+
+void ManagerService::preempt_and_park(GuestContext* ctx, u32 prr_idx) {
+  const PrrTableEntry victim = prr_table_[prr_idx];  // the save unbinds it
+  const bool victim_live = kernel_.pd_by_id(victim.client) != nullptr;
+  const auto regs = save_and_unbind(ctx, prr_idx);
+  if (!victim_live) return;
+  ++stats_.preemptions;
+  c_preemptions_.inc();
+  park(victim.client, victim.task, victim.client_iface_va, &regs);
+  log_.debug("client %u preempted off PRR%u (task %u), parked for resume",
+             victim.client, prr_idx, victim.task);
+}
+
+void ManagerService::program_hwmmu(GuestContext* ctx, u32 prr_idx,
+                                   paddr_t base, u32 size) {
+  if (ctx != nullptr) ctx->spend_insns(costs_.insns_hwmmu);
+  dev_write(ctx, kPlGlobal, pl::kGlobPrrSelect, prr_idx);
+  dev_write(ctx, kPlGlobal, pl::kGlobHwmmuBase, base);
+  dev_write(ctx, kPlGlobal, pl::kGlobHwmmuSize, size);
+}
+
+u32 ManagerService::ensure_pl_irq(GuestContext* ctx, u32 prr_idx) {
+  if (prr_table_[prr_idx].irq_index != 0xFFFF'FFFFu)
+    return prr_table_[prr_idx].irq_index;
+  dev_write(ctx, kPlGlobal, pl::kGlobPrrSelect, prr_idx);
+  dev_write(ctx, kPlGlobal, pl::kGlobIrqAlloc, 1);
+  prr_table_[prr_idx].irq_index =
+      dev_read(ctx, kPlGlobal, pl::kGlobIrqAlloc);
+  return prr_table_[prr_idx].irq_index;
+}
+
+bool ManagerService::launch_pcap(GuestContext* ctx, PdId client, u32 prr_idx,
+                                 hwtask::TaskId task) {
+  kernel_.svc_set_pcap_owner(*pd_, client);
+  if (ctx != nullptr) {
+    ctx->exec(rg_pcap_);
+    ctx->spend_insns(costs_.insns_pcap);
+  }
+  if (dev_read(ctx, kPcap, pl::kPcapStatus) & pl::kPcapStatusBusy)
+    return false;
+  const auto bits = kernel_.find_bitstream(task);
+  const u32 len =
+      sched_.cache_capacity > 0 ? cache_transfer_len(task) : bits.len;
+  dev_write(ctx, kPcap, pl::kPcapSrcAddr, u32(bits.pa));
+  dev_write(ctx, kPcap, pl::kPcapLen, len);
+  dev_write(ctx, kPcap, pl::kPcapTarget, prr_idx);
+  dev_write(ctx, kPcap, pl::kPcapTaskId, task);
+  dev_write(ctx, kPcap, pl::kPcapCtrl, 1);
+  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
+                                  sim::TraceKind::kPcapStart, task, prr_idx);
+  return true;
+}
+
+HcStatus ManagerService::bind_and_launch(GuestContext* ctx,
+                                         nova::ProtectionDomain& client,
+                                         hwtask::TaskId task, vaddr_t iface_va,
+                                         u32 prr_idx, bool needs_pcap,
+                                         const std::array<u32, 8>* restore) {
+  const PdId id = client.id();
+  auto& ctl = kernel_.platform().prr_controller();
+
+  // Stage 3: map the interface page into the client. The live (client, VA)
+  // -> PRR map decides whether the page table actually needs an update.
+  const auto key = std::make_pair(id, iface_va);
+  auto it = iface_map_.find(key);
+  bool fresh_map = false;
+  if (it == iface_map_.end() || it->second != prr_idx) {
+    const HcStatus map_status =
+        kernel_.svc_map_into(*pd_, id, iface_va, ctl.reg_group_pa(prr_idx));
+    if (map_status != HcStatus::kSuccess) return map_status;
+    iface_map_[key] = prr_idx;
+    fresh_map = true;
+  }
+
+  // Stage 4: load the hwMMU with the client's data section, then the PL
+  // interrupt plumbing (§IV.D): allocate a source and register it in the
+  // client's vGIC.
+  program_hwmmu(ctx, prr_idx, client.hw_data_pa, client.hw_data_size);
+  const u32 irq_idx = ensure_pl_irq(ctx, prr_idx);
+  if (irq_idx < mem::kNumPlIrqs)
+    kernel_.svc_assign_pl_irq(*pd_, id, mem::pl_irq_to_gic(irq_idx));
+
+  // Resume from the §IV.C record: put the saved interface registers back
+  // before any reload (load_task preserves the programmable registers).
+  if (restore != nullptr) ctl.restore_registers(prr_idx, *restore);
+
+  // Stage 5: reconfigure unless the task is already in the region.
+  if (!needs_pcap) {
+    // No transfer needed: the grant commits here, superseding any old
+    // outcome (and unbinding a region stranded by a dead retry).
+    abandon_stale_reconfig(id, prr_idx);
+    pending_.erase(id);
+    ++stats_.grants_no_reconfig;
+    return HcStatus::kSuccess;
+  }
+  if (!launch_pcap(ctx, id, prr_idx, task)) {
+    // The port raced busy. The grant dies here without reaching stage 6, so
+    // the PRR table never records this client — the interface page mapped
+    // in stage 3 must not survive, or a rejected applicant keeps reaching a
+    // register group the table says is free (and a later grant of the same
+    // region to another VM would share it). The client's old pending record
+    // is untouched: a backoff retry it may have scheduled stays live.
+    if (fresh_map) {
+      kernel_.svc_unmap_from(*pd_, id, iface_va);
+      iface_map_.erase(key);
+    }
+    return HcStatus::kBusy;
+  }
+  // The grant is committed: only now may it supersede the old outcome
+  // record (erasing earlier would kill a scheduled retry, stranding its
+  // region, on the Busy path above).
+  abandon_stale_reconfig(id, prr_idx);
+  pending_[id] = PendingReconfig{task, prr_idx, 1, ReconfigOutcome::kInFlight};
+  inflight_client_ = id;
+  ++stats_.grants_with_reconfig;
+  return HcStatus::kSuccess;
+}
+
+void ManagerService::record_grant(GuestContext* ctx,
+                                  nova::ProtectionDomain& client,
+                                  hwtask::TaskId task, vaddr_t iface_va,
+                                  u32 prr_idx, bool reconfiguring) {
+  // Mark the client's own consistency record as consistent. Any outstanding
+  // preemption save is consumed (resume) or superseded (fresh grant).
+  const std::array<u32, 2> ok_record{kStateConsistent, task};
+  kernel_.svc_write_client_data(*pd_, client.id(),
+                                consistency_offset(client.hw_data_size),
+                                ok_record);
+  save_outstanding_.erase(client.id());
+
+  // Stage 6: update the PRR table and the launch ledger.
+  PrrTableEntry& entry = prr_table_[prr_idx];
+  entry.client = client.id();
+  entry.task = task;
+  entry.client_iface_va = iface_va;
+  entry.reconfiguring = reconfiguring;
+  entry.last_grant_seq = ++grant_seq_;
+  ledger_[prr_idx] = LedgerEntry{client.id(), task};
+  if (ctx != nullptr) {
+    touch_prr_table(*ctx, prr_idx, /*write=*/true);
+    ctx->spend_insns(costs_.insns_table_update);
+  }
 }
 
 // ---- priority preemption / wait queue (DESIGN.md §15) -----------------------
@@ -238,99 +421,24 @@ bool ManagerService::reconfig_undecided(PdId client, u32 prr) const {
          it->second.outcome == ReconfigOutcome::kInFlight;
 }
 
-void ManagerService::park_victim(PdId victim, hwtask::TaskId task,
-                                 vaddr_t iface_va,
-                                 const std::array<u32, 8>& regs) {
-  // One preemption save per client (the data section holds one record): a
-  // newer save supersedes an older parked resume, which degrades to a
-  // from-scratch re-grant.
-  save_outstanding_[victim] = SavedContext{task, regs};
-  for (auto& w : wait_queue_)
-    if (w.client == victim) w.resume = false;
-  wait_queue_.push_back(WaitEntry{victim, task, iface_va,
-                                  client_priority(victim), /*resume=*/true,
-                                  ++wait_seq_});
-  // Overwriting the pending record kills any backoff retry the victim had
-  // in flight on another region — unbind that region first.
-  abandon_stale_reconfig(victim, 0xFFFF'FFFFu);
-  pending_[victim] = PendingReconfig{task, 0xFFFF'FFFFu, 0,
-                                     ReconfigOutcome::kQueued};
-}
-
-void ManagerService::preempt_and_park(GuestContext& ctx, u32 prr_idx) {
-  PrrTableEntry& entry = prr_table_[prr_idx];
-  const PdId victim = entry.client;
-  const hwtask::TaskId task = entry.task;
-  const vaddr_t iface_va = entry.client_iface_va;
-  const bool victim_live = kernel_.pd_by_id(victim) != nullptr;
-  reclaim_from(ctx, prr_idx);  // §IV.C save + unbind, identical protocol
-  if (!victim_live) return;
-  ++stats_.preemptions;
-  c_preemptions_.inc();
-  park_victim(victim, task, iface_va, last_reclaim_regs_);
-  log_.debug("client %u preempted off PRR%u (task %u), parked for resume",
-             victim, prr_idx, task);
-}
-
-void ManagerService::preempt_phys(u32 prr_idx) {
-  PrrTableEntry& entry = prr_table_[prr_idx];
-  const PdId victim = entry.client;
-  const hwtask::TaskId task = entry.task;
-  const vaddr_t iface_va = entry.client_iface_va;
-  nova::ProtectionDomain* old_client = kernel_.pd_by_id(victim);
-  if (old_client == nullptr) {
-    entry.client = nova::kInvalidPd;
-    entry.client_iface_va = 0;
-    ledger_[prr_idx] = LedgerEntry{};
-    return;
+void ManagerService::park(PdId client, hwtask::TaskId task,
+                          vaddr_t iface_va, const std::array<u32, 8>* saved) {
+  if (saved != nullptr) {
+    // One preemption save per client (the data section holds one record):
+    // a newer save supersedes an older parked resume, which degrades to a
+    // from-scratch re-grant.
+    save_outstanding_[client] = SavedContext{task, *saved};
+    for (auto& w : wait_queue_)
+      if (w.client == client) w.resume = false;
   }
-  ++stats_.reclaims;
-  ++stats_.preemptions;
-  c_preemptions_.inc();
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kHwReclaim, prr_idx, victim);
-  // Event-context save: read the register group over the physical bus (no
-  // simulated charge, like the retry path's device programming).
-  auto& plat = kernel_.platform();
-  const auto& prrctl = plat.prr_controller();
-  std::array<u32, 8> regs{};
-  for (u32 w = 0; w < 8; ++w) {
-    u32 v = 0;
-    (void)plat.bus().read32(prrctl.reg_group_pa(prr_idx) + w * 4, v);
-    regs[w] = v;
-  }
-  std::array<u32, kConsistencyWords> record{};
-  record[0] = kStateInconsistent;
-  record[1] = task;
-  for (u32 w = 0; w < 8; ++w) record[2 + w] = regs[w];
-  kernel_.svc_write_client_data(*pd_, victim,
-                                consistency_offset(old_client->hw_data_size),
-                                record);
-  if (iface_va != 0) {
-    const auto key = std::make_pair(victim, iface_va);
-    auto it = iface_map_.find(key);
-    if (it != iface_map_.end() && it->second == prr_idx) {
-      kernel_.svc_unmap_from(*pd_, victim, iface_va);
-      iface_map_.erase(it);
-    }
-  }
-  entry.client = nova::kInvalidPd;
-  entry.client_iface_va = 0;
-  ledger_[prr_idx] = LedgerEntry{};
-  park_victim(victim, task, iface_va, regs);
-}
-
-void ManagerService::enqueue_request(const HwTaskRequest& req) {
-  wait_queue_.push_back(WaitEntry{req.client, req.task, req.iface_va,
-                                  client_priority(req.client),
-                                  /*resume=*/false, ++wait_seq_});
-  // Queuing supersedes any in-flight reconfig record (and its retry) for
-  // this client; a region waiting on that retry must not stay bound.
-  abandon_stale_reconfig(req.client, 0xFFFF'FFFFu);
-  pending_[req.client] = PendingReconfig{req.task, 0xFFFF'FFFFu, 0,
-                                         ReconfigOutcome::kQueued};
-  ++stats_.enqueued;
-  if (sched_.prefetch && sched_.cache_capacity > 0) cache_prefetch(req.task);
+  wait_queue_.push_back(WaitEntry{client, task, iface_va,
+                                  client_priority(client),
+                                  /*resume=*/saved != nullptr, ++wait_seq_});
+  // Queuing supersedes any in-flight reconfig record (and its backoff retry)
+  // for this client; a region waiting on that retry must not stay bound.
+  abandon_stale_reconfig(client, 0xFFFF'FFFFu);
+  pending_[client] =
+      PendingReconfig{task, 0xFFFF'FFFFu, 0, ReconfigOutcome::kQueued};
 }
 
 void ManagerService::drop_wait_entry(PdId client, bool write_record) {
@@ -411,87 +519,26 @@ bool ManagerService::try_regrant(const WaitEntry& w) {
   const bool needs_pcap = ctl.prr(prr).loaded_task != w.task;
   if (needs_pcap && plat.pcap().busy()) return false;  // port contended
 
-  PrrTableEntry& entry = prr_table_[prr];
-  if (entry.client != nova::kInvalidPd && entry.client != w.client)
-    preempt_phys(prr);
+  const PdId owner = prr_table_[prr].client;
+  if (owner != nova::kInvalidPd && owner != w.client)
+    preempt_and_park(nullptr, prr);
 
-  // Stage 3 (phys): map the interface page into the waiting client.
-  const paddr_t reg_pa = ctl.reg_group_pa(prr);
-  const auto key = std::make_pair(w.client, w.iface_va);
-  auto mit = iface_map_.find(key);
-  bool fresh_map = false;
-  if (mit == iface_map_.end() || mit->second != prr) {
-    if (kernel_.svc_map_into(*pd_, w.client, w.iface_va, reg_pa) !=
-        HcStatus::kSuccess)
-      return false;
-    iface_map_[key] = prr;
-    fresh_map = true;
-  }
-
-  // Stage 4 (phys): hwMMU window + PL IRQ straight at the device — event
-  // contexts have no manager VA window (same as handle_client_destroyed).
-  const u32 glob = mem::kPrrMaxRegions * mem::kPrrRegGroupStride;
-  ctl.mmio_write(glob + pl::kGlobPrrSelect, prr);
-  ctl.mmio_write(glob + pl::kGlobHwmmuBase, u32(client->hw_data_pa));
-  ctl.mmio_write(glob + pl::kGlobHwmmuSize, client->hw_data_size);
-  if (entry.irq_index == 0xFFFF'FFFFu) {
-    ctl.mmio_write(glob + pl::kGlobIrqAlloc, 1);
-    entry.irq_index = ctl.mmio_read(glob + pl::kGlobIrqAlloc);
-  }
-  if (entry.irq_index < mem::kNumPlIrqs)
-    kernel_.svc_assign_pl_irq(*pd_, w.client,
-                              mem::pl_irq_to_gic(entry.irq_index));
-
-  // Resume-from-record: put the saved interface registers back before any
-  // reload (load_task preserves the programmable registers).
+  // A resume puts the saved interface registers back (§IV.C round trip).
   auto sit = save_outstanding_.find(w.client);
   const bool resume =
       w.resume && sit != save_outstanding_.end() && sit->second.task == w.task;
-  if (resume) ctl.restore_registers(prr, sit->second.regs);
-
-  // Stage 5 (phys): reconfigure unless the task is already in the fabric.
-  if (needs_pcap) {
-    kernel_.svc_set_pcap_owner(*pd_, w.client);
-    if (!launch_pcap_phys(prr, w.task)) {
-      // The port raced busy after the check: unwind the fresh mapping (the
-      // table never records this grant) and stay parked. The queued pending
-      // record survives — the client still polls as queued.
-      if (fresh_map) {
-        kernel_.svc_unmap_from(*pd_, w.client, w.iface_va);
-        iface_map_.erase(key);
-      }
-      return false;
-    }
-    abandon_stale_reconfig(w.client, prr);
-    pending_[w.client] =
-        PendingReconfig{w.task, prr, 1, ReconfigOutcome::kInFlight};
-    inflight_client_ = w.client;
-    ++stats_.grants_with_reconfig;
-  } else {
-    abandon_stale_reconfig(w.client, prr);
-    pending_.erase(w.client);
-    ++stats_.grants_no_reconfig;
-  }
-
-  // The re-grant completes the preempt/resume round trip: record turns
-  // consistent and the outstanding save is consumed.
-  const std::array<u32, 2> ok_record{kStateConsistent, w.task};
-  kernel_.svc_write_client_data(*pd_, w.client,
-                                consistency_offset(client->hw_data_size),
-                                ok_record);
-  save_outstanding_.erase(w.client);
+  // A failed bind (the port raced busy after the check) leaves the request
+  // parked; its queued pending record survives, so the client still polls
+  // as queued.
+  if (bind_and_launch(nullptr, *client, w.task, w.iface_va, prr, needs_pcap,
+                      resume ? &sit->second.regs : nullptr) !=
+      HcStatus::kSuccess)
+    return false;
+  record_grant(nullptr, *client, w.task, w.iface_va, prr, needs_pcap);
   if (resume) {
     ++stats_.resumes;
     c_resumes_.inc();
   }
-
-  // Stage 6 (phys): table + ledger update.
-  entry.client = w.client;
-  entry.task = w.task;
-  entry.client_iface_va = w.iface_va;
-  entry.reconfiguring = needs_pcap;
-  entry.last_grant_seq = ++grant_seq_;
-  ledger_[prr] = LedgerEntry{w.client, w.task};
   ++stats_.wait_grants;
   plat.trace().emit(plat.clock().now(), sim::TraceKind::kHwGrant, w.task,
                     w.client);
@@ -548,46 +595,6 @@ u32 ManagerService::cache_transfer_len(hwtask::TaskId task) {
 
 // ---- request path (Fig. 7) --------------------------------------------------
 
-void ManagerService::program_hwmmu(GuestContext& ctx, u32 prr_idx,
-                                   paddr_t base, u32 size) {
-  const vaddr_t glob = nova::manager_pl_ctrl_va();
-  ctx.spend_insns(costs_.insns_hwmmu);
-  (void)ctx.write32(glob + pl::kGlobPrrSelect, prr_idx);
-  (void)ctx.write32(glob + pl::kGlobHwmmuBase, base);
-  (void)ctx.write32(glob + pl::kGlobHwmmuSize, size);
-}
-
-u32 ManagerService::ensure_pl_irq(GuestContext& ctx, u32 prr_idx) {
-  if (prr_table_[prr_idx].irq_index != 0xFFFF'FFFFu)
-    return prr_table_[prr_idx].irq_index;
-  const vaddr_t glob = nova::manager_pl_ctrl_va();
-  (void)ctx.write32(glob + pl::kGlobPrrSelect, prr_idx);
-  (void)ctx.write32(glob + pl::kGlobIrqAlloc, 1);
-  const auto r = ctx.read32(glob + pl::kGlobIrqAlloc);
-  prr_table_[prr_idx].irq_index = r.value;
-  return r.value;
-}
-
-bool ManagerService::launch_pcap(GuestContext& ctx, u32 prr_idx,
-                                 hwtask::TaskId task) {
-  ctx.exec(rg_pcap_);
-  ctx.spend_insns(costs_.insns_pcap);
-  const vaddr_t pcap = nova::manager_pcap_va();
-  const auto status = ctx.read32(pcap + pl::kPcapStatus);
-  if (status.value & pl::kPcapStatusBusy) return false;
-  const auto bits = kernel_.find_bitstream(task);
-  u32 len = bits.len;
-  if (sched_.cache_capacity > 0) len = cache_transfer_len(task);
-  (void)ctx.write32(pcap + pl::kPcapSrcAddr, bits.pa);
-  (void)ctx.write32(pcap + pl::kPcapLen, len);
-  (void)ctx.write32(pcap + pl::kPcapTarget, prr_idx);
-  (void)ctx.write32(pcap + pl::kPcapTaskId, task);
-  (void)ctx.write32(pcap + pl::kPcapCtrl, 1);
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kPcapStart, task, prr_idx);
-  return true;
-}
-
 HcStatus ManagerService::handle_request(GuestContext& ctx,
                                         const HwTaskRequest& req,
                                         u32& result_flags) {
@@ -626,13 +633,33 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
   // growth point below, not before selection.
   const u32 quota = effective_quota(req.client);
   const bool at_quota = quota > 0 && grants_in_use(req.client) >= quota;
+  // A request that cannot be placed right now parks on the admission queue
+  // (queueing on, quota left, room in the queue) or bounces with Busy.
+  // Parking always adds a wait entry on top of whatever the client owns, so
+  // the quota gate here is unconditional.
+  auto park_or_bounce = [&] {
+    if (at_quota) {
+      ++stats_.quota_rejections;
+      return HcStatus::kBusy;
+    }
+    if (sched_queueing() && wait_queue_.size() < sched_.queue_depth) {
+      park(req.client, req.task, req.iface_va, /*saved=*/nullptr);
+      ++stats_.enqueued;
+      if (sched_.prefetch && sched_.cache_capacity > 0)
+        cache_prefetch(req.task);
+      result_flags = nova::kHwGrantQueued;
+      return HcStatus::kSuccess;
+    }
+    ++stats_.busy_rejections;
+    return HcStatus::kBusy;  // true saturation: applicant retries (§IV.E)
+  };
 
   // Stage 2: PRR selection.
   bool needs_reconfig = false;
   bool quarantine_blocked = false;
-  const int prr =
+  const int chosen =
       select_prr(ctx, *info, req.client, needs_reconfig, quarantine_blocked);
-  if (prr < 0) {
+  if (chosen < 0) {
     if (quarantine_blocked) {
       // Every idle compatible region is quarantined: rather than stalling
       // the client behind the cooldown, grant the task in software.
@@ -644,19 +671,10 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
       result_flags = nova::kHwGrantSoftware;
       return HcStatus::kSuccess;
     }
-    if (at_quota) {
-      ++stats_.quota_rejections;
-      return HcStatus::kBusy;
-    }
-    if (sched_queueing() && wait_queue_.size() < sched_.queue_depth) {
-      enqueue_request(req);
-      result_flags = nova::kHwGrantQueued;
-      return HcStatus::kSuccess;
-    }
-    ++stats_.busy_rejections;
-    return HcStatus::kBusy;  // true saturation: applicant retries (§IV.E)
+    return park_or_bounce();
   }
-  PrrTableEntry& entry = prr_table_[u32(prr)];
+  const u32 prr = u32(chosen);
+  PrrTableEntry& entry = prr_table_[prr];
 
   // The chosen region decides whether this grant is net-new: replacing a
   // region the client already owns never grows its count.
@@ -666,93 +684,44 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
   }
 
   // When a PCAP transfer would be needed but the port is streaming another
-  // bitstream, park the request (queueing on) or report Busy rather than
-  // blocking the service.
+  // bitstream, park the request or report Busy rather than blocking the
+  // service.
   if (needs_reconfig && entry.task != req.task &&
-      kernel_.platform().pcap().busy()) {
-    // Parking always adds a wait entry on top of whatever the client owns
-    // (even when the chosen region is its own), so the gate is unconditional.
-    if (at_quota) {
-      ++stats_.quota_rejections;
-      return HcStatus::kBusy;
-    }
-    if (sched_queueing() && wait_queue_.size() < sched_.queue_depth) {
-      enqueue_request(req);
-      result_flags = nova::kHwGrantQueued;
-      return HcStatus::kSuccess;
-    }
-    ++stats_.busy_rejections;
-    return HcStatus::kBusy;
-  }
+      kernel_.platform().pcap().busy())
+    return park_or_bounce();
 
   // Consistency protocol when another client owns the region (§IV.C). With
   // priorities on this is a preemption: the victim parks for a resume.
   if (entry.client != nova::kInvalidPd && entry.client != req.client) {
     if (sched_.priorities)
-      preempt_and_park(ctx, u32(prr));
+      preempt_and_park(&ctx, prr);
     else
-      reclaim_from(ctx, u32(prr));
+      (void)save_and_unbind(&ctx, prr);
   }
 
-  // Stage 3: map the interface page into the client. The live (client, VA)
-  // -> PRR map decides whether the page table actually needs an update.
-  const paddr_t reg_pa =
-      kernel_.platform().prr_controller().reg_group_pa(u32(prr));
-  const auto key = std::make_pair(req.client, req.iface_va);
-  auto it = iface_map_.find(key);
-  bool fresh_map = false;
-  if (it == iface_map_.end() || it->second != u32(prr)) {
-    const HcStatus map_status =
-        kernel_.svc_map_into(*pd_, req.client, req.iface_va, reg_pa);
-    if (map_status != HcStatus::kSuccess) return map_status;
-    iface_map_[key] = u32(prr);
-    fresh_map = true;
-  }
-
-  // Stage 4: load the hwMMU with the client's data section.
-  program_hwmmu(ctx, u32(prr), client->hw_data_pa, client->hw_data_size);
-
-  // PL interrupt plumbing (§IV.D): allocate a source and register it in the
-  // client's vGIC.
-  const u32 irq_idx = ensure_pl_irq(ctx, u32(prr));
-  if (irq_idx < mem::kNumPlIrqs)
-    kernel_.svc_assign_pl_irq(*pd_, req.client, mem::pl_irq_to_gic(irq_idx));
-
-  // Stage 5: reconfigure if the task is not already in the region.
+  // Stages 3-5. The table may claim the task is present while the fabric is
+  // still dark (first use of a region): the static logic has the last word.
+  const bool needs_pcap =
+      entry.task != req.task ||
+      kernel_.platform().prr_controller().prr(prr).loaded_task != req.task;
   result_flags = nova::kHwGrantReady;
-  if (entry.task != req.task || needs_reconfig_forces_pcap(u32(prr), req.task)) {
-    kernel_.svc_set_pcap_owner(*pd_, req.client);
-    if (!launch_pcap(ctx, u32(prr), req.task)) {
-      // The grant dies here without reaching stage 6, so the PRR table never
-      // records this client — the interface page mapped in stage 3 must not
-      // survive, or a Busy-rejected applicant keeps reaching a register
-      // group the table says is free (and a later grant of the same region
-      // to another VM would share it). The client's old pending record is
-      // untouched: a backoff retry it may have scheduled stays live.
-      if (fresh_map) {
-        kernel_.svc_unmap_from(*pd_, req.client, req.iface_va);
-        iface_map_.erase(key);
-      }
-      ++stats_.busy_rejections;
-      return HcStatus::kBusy;
-    }
-    // The grant is committed: only now may it supersede the old outcome
-    // record (erasing earlier would kill a scheduled retry, stranding its
-    // region, on the Busy path above).
-    abandon_stale_reconfig(req.client, u32(prr));
-    pending_.erase(req.client);
+  const HcStatus bound = bind_and_launch(&ctx, *client, req.task,
+                                         req.iface_va, prr, needs_pcap,
+                                         /*restore=*/nullptr);
+  if (bound != HcStatus::kSuccess) {
+    // kBusy here only ever means the PCAP port raced busy.
+    if (bound == HcStatus::kBusy) ++stats_.busy_rejections;
+    return bound;
+  }
+  if (needs_pcap) {
     result_flags = nova::kHwGrantReconfig;
-    ++stats_.grants_with_reconfig;
-    pending_[req.client] = PendingReconfig{req.task, u32(prr), 1,
-                                           ReconfigOutcome::kInFlight};
-    inflight_client_ = req.client;
     if (blocking_reconfig_) {
       // Ablation: poll the PCAP to completion inside the service. The
       // paper's design explicitly avoids this ("the manager service does
       // not check the completion of the PCAP transfer").
       auto& plat = kernel_.platform();
       while (query_reconfig(req.client) == nova::kReconfigInFlight) {
-        (void)ctx.read32(nova::manager_pcap_va() + pl::kPcapStatus);
+        (void)dev_read(&ctx, kPcap, pl::kPcapStatus);
         plat.idle_until_next_event(plat.clock().now() +
                                    plat.clock().us_to_cycles(50));
       }
@@ -764,40 +733,12 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
       }
       result_flags = nova::kHwGrantReady;
     }
-  } else {
-    // No transfer needed: the grant commits here, superseding any old
-    // outcome (and unbinding a region stranded by a dead retry).
-    abandon_stale_reconfig(req.client, u32(prr));
-    pending_.erase(req.client);
-    ++stats_.grants_no_reconfig;
   }
 
-  // Mark the client's own consistency record as consistent. Any outstanding
-  // preemption save is superseded by the fresh grant.
-  const std::array<u32, 2> ok_record{kStateConsistent, req.task};
-  kernel_.svc_write_client_data(*pd_, req.client,
-                                consistency_offset(client->hw_data_size),
-                                ok_record);
-  save_outstanding_.erase(req.client);
-
-  // Stage 6: update the PRR table and return without waiting for PCAP.
-  entry.client = req.client;
-  entry.task = req.task;
-  entry.client_iface_va = req.iface_va;
-  entry.reconfiguring = result_flags != 0;
-  entry.last_grant_seq = ++grant_seq_;
-  ledger_[u32(prr)] = LedgerEntry{req.client, req.task};
-  touch_prr_table(ctx, u32(prr), /*write=*/true);
-  ctx.spend_insns(costs_.insns_table_update);
+  // Stage 6, returning without waiting for PCAP.
+  record_grant(&ctx, *client, req.task, req.iface_va, prr,
+               /*reconfiguring=*/result_flags != nova::kHwGrantReady);
   return HcStatus::kSuccess;
-}
-
-bool ManagerService::needs_reconfig_forces_pcap(u32 prr_idx,
-                                                hwtask::TaskId task) {
-  // The table may claim the task is present while the fabric is still dark
-  // (first use of a region): verify against the static logic.
-  const auto& hw = kernel_.platform().prr_controller().prr(prr_idx);
-  return hw.loaded_task != task;
 }
 
 // ---- retry / quarantine / fallback (DESIGN.md §8) ---------------------------
@@ -894,8 +835,7 @@ void ManagerService::retry_reconfig(PdId client) {
     pending_.erase(it);
     return;
   }
-  kernel_.svc_set_pcap_owner(*pd_, client);
-  if (!launch_pcap_phys(p.prr, p.task)) {
+  if (!launch_pcap(nullptr, client, p.prr, p.task)) {
     declare_fallback(client);
     return;
   }
@@ -904,28 +844,6 @@ void ManagerService::retry_reconfig(PdId client) {
   c_retries_.inc();
   entry.reconfiguring = true;
   inflight_client_ = client;
-}
-
-bool ManagerService::launch_pcap_phys(u32 prr_idx, hwtask::TaskId task) {
-  // Retries fire from the event queue, where no protection domain runs, so
-  // the devcfg registers are programmed through the physical bus instead of
-  // the manager's virtual window. The DMA re-program itself is charged as
-  // zero CPU time — the paper's overlap argument (§IV.E) applies doubly.
-  auto& bus = kernel_.platform().bus();
-  u32 status = 0;
-  (void)bus.read32(mem::kDevcfgBase + pl::kPcapStatus, status);
-  if (status & pl::kPcapStatusBusy) return false;
-  const auto bits = kernel_.find_bitstream(task);
-  u32 len = bits.len;
-  if (sched_.cache_capacity > 0) len = cache_transfer_len(task);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapSrcAddr, u32(bits.pa));
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapLen, len);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapTarget, prr_idx);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapTaskId, task);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapCtrl, 1);
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kPcapStart, task, prr_idx);
-  return true;
 }
 
 void ManagerService::declare_fallback(PdId client) {
@@ -937,22 +855,8 @@ void ManagerService::declare_fallback(PdId client) {
   log_.debug("client %u degraded to software for task %u", client, p.task);
   // Unbind the dark region so other grants can use it after recovery; the
   // client's interface page goes away with it (it points at dead logic).
-  if (p.prr < prr_table_.size() && prr_table_[p.prr].client == client) {
-    PrrTableEntry& entry = prr_table_[p.prr];
-    if (entry.client_iface_va != 0) {
-      const auto key = std::make_pair(client, entry.client_iface_va);
-      auto mit = iface_map_.find(key);
-      if (mit != iface_map_.end() && mit->second == p.prr) {
-        kernel_.svc_unmap_from(*pd_, client, entry.client_iface_va);
-        iface_map_.erase(mit);
-      }
-    }
-    entry.client = nova::kInvalidPd;
-    entry.task = hwtask::kInvalidTask;
-    entry.client_iface_va = 0;
-    entry.reconfiguring = false;
-    ledger_[p.prr] = LedgerEntry{};
-  }
+  if (p.prr < prr_table_.size() && prr_table_[p.prr].client == client)
+    unbind_dark(p.prr);
   // The outcome flips only after the table row is unbound: the unmap above
   // runs introspection mid-call, and the stale binding must still be
   // covered by the in-flight record while it is visible.
@@ -970,21 +874,8 @@ void ManagerService::abandon_stale_reconfig(PdId client, u32 keep_prr) {
   // The caller is about to erase this record, so the backoff retry for the
   // old region will never relaunch — its table row would claim a task the
   // fabric never received, forever. Unbind it like a fallback does.
-  PrrTableEntry& entry = prr_table_[p.prr];
-  if (entry.client != client) return;
-  if (entry.client_iface_va != 0) {
-    const auto key = std::make_pair(client, entry.client_iface_va);
-    auto mit = iface_map_.find(key);
-    if (mit != iface_map_.end() && mit->second == p.prr) {
-      kernel_.svc_unmap_from(*pd_, client, entry.client_iface_va);
-      iface_map_.erase(mit);
-    }
-  }
-  entry.client = nova::kInvalidPd;
-  entry.task = hwtask::kInvalidTask;
-  entry.client_iface_va = 0;
-  entry.reconfiguring = false;
-  ledger_[p.prr] = LedgerEntry{};
+  if (prr_table_[p.prr].client != client) return;
+  unbind_dark(p.prr);
   log_.debug("client %u abandoned failed reconfig on PRR%u", client, p.prr);
 }
 
@@ -1023,18 +914,8 @@ HcStatus ManagerService::handle_release(GuestContext& ctx, PdId client,
     if (entry.client != client || entry.task != task) continue;
     if (kernel_.platform().prr_controller().prr(prr).busy)
       return HcStatus::kBusy;
-    if (entry.client_iface_va != 0) {
-      const auto key = std::make_pair(client, entry.client_iface_va);
-      auto it = iface_map_.find(key);
-      if (it != iface_map_.end() && it->second == prr) {
-        kernel_.svc_unmap_from(*pd_, client, entry.client_iface_va);
-        iface_map_.erase(it);
-      }
-    }
-    program_hwmmu(ctx, prr, 0, 0);
-    entry.client = nova::kInvalidPd;
-    entry.client_iface_va = 0;
-    ledger_[prr] = LedgerEntry{};
+    unbind(prr);
+    program_hwmmu(&ctx, prr, 0, 0);
     // The configured task stays resident for cheap re-dispatch.
     touch_prr_table(ctx, prr, /*write=*/true);
     ++stats_.releases;
@@ -1057,31 +938,21 @@ HcStatus ManagerService::handle_release(GuestContext& ctx, PdId client,
 }
 
 void ManagerService::handle_client_destroyed(PdId client) {
-  auto& ctl = kernel_.platform().prr_controller();
-  const u32 glob = mem::kPrrMaxRegions * mem::kPrrRegGroupStride;
+  // Interface-page mappings died with the client's address space; no unmap
+  // hypercall is needed (or possible). Dropping the records first makes
+  // unbind below skip it.
+  std::erase_if(iface_map_,
+                [&](const auto& kv) { return kv.first.first == client; });
   for (u32 prr = 0; prr < num_prrs(); ++prr) {
-    PrrTableEntry& entry = prr_table_[prr];
-    if (entry.client != client) continue;
+    if (prr_table_[prr].client != client) continue;
     // Clear the hwMMU window at the device: the client's physical slab can
     // be handed to a future VM, and a stale window would let the region
     // keep scribbling into it.
-    ctl.mmio_write(glob + pl::kGlobPrrSelect, prr);
-    ctl.mmio_write(glob + pl::kGlobHwmmuBase, 0);
-    ctl.mmio_write(glob + pl::kGlobHwmmuSize, 0);
-    entry.client = nova::kInvalidPd;
-    entry.client_iface_va = 0;
-    ledger_[prr] = LedgerEntry{};
+    program_hwmmu(nullptr, prr, 0, 0);
+    unbind(prr);
     // Like handle_release: the configured task stays resident so a future
     // grant of the same task re-dispatches without a PCAP transfer.
     log_.info("PRR%u reclaimed from destroyed client %u", prr, client);
-  }
-  // Interface-page mappings died with the client's address space; no unmap
-  // hypercall is needed (or possible) — just drop the records.
-  for (auto it = iface_map_.begin(); it != iface_map_.end();) {
-    if (it->first.first == client)
-      it = iface_map_.erase(it);
-    else
-      ++it;
   }
   pending_.erase(client);
   if (inflight_client_ == client) inflight_client_ = nova::kInvalidPd;

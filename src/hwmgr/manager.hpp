@@ -326,36 +326,56 @@ class ManagerService final : public nova::HwService {
       c_preemptions_, c_resumes_, c_cache_hits_, c_cache_misses_,
       c_cache_evicts_;
   cycles_t backoff_cycles(u32 attempts_made) const;
-  // Re-program the PCAP from an event context (no manager VA translation).
-  bool launch_pcap_phys(u32 prr_idx, hwtask::TaskId task);
-  // §IV.C consistency protocol when reclaiming from `old_client`. The
-  // register image it saved is kept for preempt_and_park to hand to the
-  // wait queue (valid only immediately after the call).
-  void reclaim_from(nova::GuestContext& ctx, u32 prr_idx);
-  std::array<u32, 8> last_reclaim_regs_{};
-  // Device programming helpers (PL global control page via the manager's
-  // mapped window).
-  void program_hwmmu(nova::GuestContext& ctx, u32 prr_idx, paddr_t base,
+
+  // ---- the grant pipeline (DESIGN.md §15.1) ----
+  // Each step runs from a request context (`ctx` non-null: device accesses
+  // go through the manager's windows and are charged) or from event context
+  // (null: they go over the physical bus for free). `dev` is the device's
+  // physical base, kPrrGlobalRegsBase or kDevcfgBase.
+  u32 dev_read(nova::GuestContext* ctx, paddr_t dev, u32 reg);
+  void dev_write(nova::GuestContext* ctx, paddr_t dev, u32 reg, u32 value);
+  // Demap the interface page if the client's VA still points at this
+  // region, then clear the owner and the ledger (the task stays resident).
+  void unbind(u32 prr_idx);
+  // Unbind a region whose download failed or was abandoned: the fabric
+  // never received the table's task, so forget it too.
+  void unbind_dark(u32 prr_idx);
+  // §IV.C reclaim: save the owner's register group into its data section
+  // flagged inconsistent, unbind, and return the saved image.
+  std::array<u32, 8> save_and_unbind(nova::GuestContext* ctx, u32 prr_idx);
+  // Preempt the region's owner: save_and_unbind, then park the victim for
+  // a resumed re-grant.
+  void preempt_and_park(nova::GuestContext* ctx, u32 prr_idx);
+  void program_hwmmu(nova::GuestContext* ctx, u32 prr_idx, paddr_t base,
                      u32 size);
-  u32 ensure_pl_irq(nova::GuestContext& ctx, u32 prr_idx);
-  bool launch_pcap(nova::GuestContext& ctx, u32 prr_idx, hwtask::TaskId task);
-  bool needs_reconfig_forces_pcap(u32 prr_idx, hwtask::TaskId task);
+  u32 ensure_pl_irq(nova::GuestContext* ctx, u32 prr_idx);
+  // Hand the PCAP to `client` and start the transfer; false when the port
+  // is busy.
+  bool launch_pcap(nova::GuestContext* ctx, nova::PdId client, u32 prr_idx,
+                   hwtask::TaskId task);
+  // Stages 3-5: map the interface page, program the hwMMU and PL IRQ,
+  // restore saved registers (resume only) and launch the PCAP when
+  // `needs_pcap`. kBusy means the port raced busy (the fresh mapping is
+  // undone); any other failure is the map service's status.
+  nova::HcStatus bind_and_launch(nova::GuestContext* ctx,
+                                 nova::ProtectionDomain& client,
+                                 hwtask::TaskId task, vaddr_t iface_va,
+                                 u32 prr_idx, bool needs_pcap,
+                                 const std::array<u32, 8>* restore);
+  // Stage 6: consistent record, table row and launch ledger.
+  void record_grant(nova::GuestContext* ctx, nova::ProtectionDomain& client,
+                    hwtask::TaskId task, vaddr_t iface_va, u32 prr_idx,
+                    bool reconfiguring);
   // Table traffic: charge reads/writes against the manager's own memory.
   void touch_task_table(nova::GuestContext& ctx, hwtask::TaskId task);
   void touch_prr_table(nova::GuestContext& ctx, u32 prr_idx, bool write);
 
   // ---- scheduler internals (DESIGN.md §15) ----
   bool sched_queueing() const { return sched_.queue_depth > 0; }
-  // Preempt the region's owner (charged, from a request context): §IV.C
-  // save via reclaim_from, then park the victim for a resumed re-grant.
-  void preempt_and_park(nova::GuestContext& ctx, u32 prr_idx);
-  // Event-context preemption (no GuestContext; zero simulated charge, like
-  // the retry path): same save/park protocol over the physical bus.
-  void preempt_phys(u32 prr_idx);
-  void park_victim(nova::PdId victim, hwtask::TaskId task, vaddr_t iface_va,
-                   const std::array<u32, 8>& regs);
-  // Enqueue an admission-queued fresh request (no saved context).
-  void enqueue_request(const nova::HwTaskRequest& req);
+  // Put `client` on the wait queue; `saved` (a preemption's register image)
+  // makes the entry a resume.
+  void park(nova::PdId client, hwtask::TaskId task, vaddr_t iface_va,
+            const std::array<u32, 8>* saved);
   // Remove `client`'s wait entry; when its preemption save is outstanding
   // and the client is live, rewrite the §IV.C record consistent (the save
   // is being abandoned, not resumed).
