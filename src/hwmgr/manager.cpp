@@ -82,6 +82,16 @@ int ManagerService::select_prr(GuestContext& ctx,
   for (u32 prr : info.compatible_prrs)
     prr_table_[prr].reconfiguring = prrctl.prr(prr).reconfiguring;
 
+  // With priorities on, a region owned by another client is a takeover
+  // candidate only when that owner ranks strictly below the requester —
+  // even when it already holds the requested task (DESIGN.md §15.1).
+  const u32 req_prio =
+      sched_.priorities ? client_priority(requester) : 0;
+  auto outranks_requester = [&](PdId owner) {
+    return sched_.priorities && owner != nova::kInvalidPd &&
+           owner != requester && client_priority(owner) >= req_prio;
+  };
+
   // First pass (kResidentFirst only): an idle compatible PRR already
   // configured with this task (no reconfiguration needed). Each candidate
   // is evaluated against its table row plus a live status read from the
@@ -97,6 +107,7 @@ int ManagerService::select_prr(GuestContext& ctx,
     const auto& hw = prrctl.prr(prr);
     if (hw.busy || hw.reconfiguring) continue;
     if (prr_table_[prr].health == PrrHealth::kQuarantined) continue;
+    if (outranks_requester(prr_table_[prr].client)) continue;
     if (policy_ == AllocPolicy::kResidentFirst &&
         prr_table_[prr].task == info.id && hw.loaded_task == info.id) {
       needs_reconfig = false;
@@ -107,10 +118,6 @@ int ManagerService::select_prr(GuestContext& ctx,
   // unowned regions, then reclaim from other clients. A region owned by
   // the requester itself is fine too.
   needs_reconfig = true;
-  // With priorities on, a region owned by another client is a takeover
-  // candidate only when that owner ranks strictly below the requester.
-  const u32 req_prio =
-      sched_.priorities ? client_priority(requester) : 0;
   // Preference order for resident-first/first-fit: a dark (never
   // configured) cheap region spreads tasks across the fabric and maximizes
   // later residency hits; then any cheap region; reclaiming from another
@@ -125,9 +132,7 @@ int ManagerService::select_prr(GuestContext& ctx,
     }
     const bool cheap = prr_table_[prr].client == nova::kInvalidPd ||
                        prr_table_[prr].client == requester;
-    if (!cheap && sched_.priorities &&
-        client_priority(prr_table_[prr].client) >= req_prio)
-      continue;  // not preemptible: owner outranks (or ties) the requester
+    if (outranks_requester(prr_table_[prr].client)) continue;
     if (cheap && hw.loaded_task == hwtask::kInvalidTask && dark < 0)
       dark = int(prr);
     else if (cheap && cheap_used < 0)

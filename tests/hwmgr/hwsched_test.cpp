@@ -172,6 +172,25 @@ TEST_F(HwSchedTest, EqualPriorityDoesNotPreemptButQueues) {
   EXPECT_EQ(manager_.stats().enqueued, 1u);
 }
 
+TEST_F(HwSchedTest, ResidentTaskDoesNotLetLowerPriorityPreempt) {
+  // The high-priority client holds PRR0 with kFft1024 resident; low1 holds
+  // PRR1. A lower-priority request for the very task PRR0 holds must not
+  // take it: residency is no licence to preempt a higher-priority owner.
+  ASSERT_TRUE(request(*high_, hwtask::TaskLibrary::kFft1024).ok());
+  drain_events();
+  ASSERT_TRUE(request(*low1_, hwtask::TaskLibrary::kFft512).ok());
+  drain_events();
+  ASSERT_EQ(owned_prr(*high_), 0u);
+  ASSERT_EQ(owned_prr(*low1_), 1u);
+
+  const auto res = request(*low0_, hwtask::TaskLibrary::kFft1024);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.r1, nova::kHwGrantQueued);
+  EXPECT_EQ(manager_.stats().preemptions, 0u);
+  EXPECT_EQ(owned_prr(*high_), 0u);
+  EXPECT_EQ(record_flag(*high_), kStateConsistent);
+}
+
 TEST_F(HwSchedTest, SetPrioHypercallRestoresPreemptability) {
   occupy_large_regions();
   ASSERT_TRUE(query(*high_, nova::kHwQuerySetPrio, 1).ok());
