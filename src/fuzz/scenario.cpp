@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "core/platform.hpp"
+#include "fuzz/sabotage.hpp"
 #include "hwmgr/manager.hpp"
 #include "nova/kernel.hpp"
 #include "workloads/chaos.hpp"
@@ -298,11 +299,11 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
     ++step;
     if (opts.sabotage_step != 0 && step == opts.sabotage_step) {
       if (opts.sabotage_sv_kind != 0 && kernel.supervisor() != nullptr)
-        kernel.supervisor()->sabotage_for_test(opts.sabotage_sv_kind);
+        Sabotage::sv(*kernel.supervisor(), opts.sabotage_sv_kind);
       else if (opts.sabotage_hw_kind != 0)
-        manager.sabotage_for_test(opts.sabotage_hw_kind);
+        Sabotage::hw(manager, opts.sabotage_hw_kind);
       else if (opts.sabotage_smp_kind != 0)
-        kernel.smp_sabotage_for_test(opts.sabotage_smp_kind);
+        Sabotage::smp(kernel, opts.sabotage_smp_kind);
       else if (!pds.empty())
         pds.front()->quantum_left =
             insp.scheduler().default_quantum() * 2 + 12345;

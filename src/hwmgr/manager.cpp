@@ -151,11 +151,8 @@ int ManagerService::select_prr(GuestContext& ctx,
 
 // ---- one grant pipeline (DESIGN.md §15.1) ------------------------------------
 //
-// Every protocol step below runs from either context: a request context
-// (`ctx` non-null, the manager's hypercall window, every device access
-// charged through its VA windows) or an event context (`ctx` null: the
-// wait-queue pump, a backoff retry, client teardown), where device
-// accesses go straight over the physical bus at zero simulated cost.
+// `ctx` null is event context: the wait-queue pump, a backoff retry, client
+// teardown.
 
 namespace {
 constexpr paddr_t kPlGlobal = mem::kPrrGlobalRegsBase;
@@ -446,15 +443,14 @@ void ManagerService::park(PdId client, hwtask::TaskId task,
       PendingReconfig{task, 0xFFFF'FFFFu, 0, ReconfigOutcome::kQueued};
 }
 
-void ManagerService::drop_wait_entry(PdId client, bool write_record) {
+void ManagerService::drop_wait_entry(PdId client) {
   std::erase_if(wait_queue_,
                 [&](const WaitEntry& w) { return w.client == client; });
   auto it = save_outstanding_.find(client);
   if (it == save_outstanding_.end()) return;
-  nova::ProtectionDomain* pd = kernel_.pd_by_id(client);
-  if (write_record && pd != nullptr) {
-    // The save is being abandoned, not resumed: the record must say
-    // consistent again or the save/restore oracle would see a phantom save.
+  // The save is being abandoned, not resumed: the record must say
+  // consistent again or the save/restore oracle would see a phantom save.
+  if (nova::ProtectionDomain* pd = kernel_.pd_by_id(client)) {
     const std::array<u32, 2> rec{kStateConsistent, it->second.task};
     kernel_.svc_write_client_data(*pd_, client,
                                   consistency_offset(pd->hw_data_size), rec);
@@ -590,7 +586,7 @@ u32 ManagerService::cache_transfer_len(hwtask::TaskId task) {
     e.stamp = ++cache_seq_;
     ++stats_.cache_hits;
     c_cache_hits_.inc();
-    return std::min(sched_.cache_hit_load_bytes, bits.len);
+    return std::min(kCacheHitLoadBytes, bits.len);
   }
   ++stats_.cache_misses;
   c_cache_misses_.inc();
@@ -627,7 +623,7 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
         return HcStatus::kSuccess;
       }
       // A fresh request supersedes the parked one.
-      drop_wait_entry(req.client, /*write_record=*/true);
+      drop_wait_entry(req.client);
       break;
     }
   }
@@ -934,7 +930,7 @@ HcStatus ManagerService::handle_release(GuestContext& ctx, PdId client,
   // re-gains a region.
   for (const auto& w : wait_queue_) {
     if (w.client != client || w.task != task) continue;
-    drop_wait_entry(client, /*write_record=*/true);
+    drop_wait_entry(client);
     pending_.erase(client);
     ++stats_.releases;
     return HcStatus::kSuccess;
@@ -969,66 +965,6 @@ void ManagerService::handle_client_destroyed(PdId client) {
   prio_override_.erase(client);
   quota_override_.erase(client);
   if (!wait_queue_.empty()) pump_wait_queue();
-}
-
-// ---- fuzz-oracle sabotage (tests only) --------------------------------------
-
-void ManagerService::sabotage_for_test(u32 kind) {
-  // Find a live client id to synthesize state around (the fuzzer always has
-  // running VMs; fall back to id 1).
-  PdId live = 1;
-  for (PdId id = 0; id < 256; ++id) {
-    nova::ProtectionDomain* pd = kernel_.pd_by_id(id);
-    // The synthesized state must belong to a hw-task client: the oracles
-    // read its §IV.C consistency record, which the manager PD (and any VM
-    // without a data section) does not have.
-    if (pd == nullptr || pd == pd_ || pd->hw_data_size == 0) continue;
-    live = id;
-    break;
-  }
-  switch (kind) {
-    case 1: {  // launch ledger contradicts the PRR table
-      for (u32 prr = 0; prr < num_prrs(); ++prr) {
-        if (prr_table_[prr].client == nova::kInvalidPd) continue;
-        ledger_[prr].task = prr_table_[prr].task + 1;
-        return;
-      }
-      // No owned region: a ledger entry for an unowned one is just as wrong.
-      ledger_[0] = LedgerEntry{live, 1};
-      return;
-    }
-    case 2: {  // saved context diverges from the client's §IV.C record
-      if (!save_outstanding_.empty()) {
-        save_outstanding_.begin()->second.regs[0] ^= 0xDEAD'0001u;
-        return;
-      }
-      // Synthesize a phantom save: the record in the client's data section
-      // still says consistent, so the round-trip oracle must fire.
-      SavedContext s;
-      s.task = 1;
-      s.regs.fill(0xDEAD'BEEFu);
-      save_outstanding_[live] = s;
-      return;
-    }
-    case 3: {  // a client holds more regions than its quota admits
-      if (num_prrs() < 2) return;
-      for (u32 prr = 0; prr < 2; ++prr) {
-        PrrTableEntry& e = prr_table_[prr];
-        e.client = live;
-        if (e.task == hwtask::kInvalidTask) e.task = hwtask::TaskId(1 + prr);
-        ledger_[prr] = LedgerEntry{live, e.task};  // keep oracle 1 quiet
-      }
-      quota_override_[live] = 1;
-      return;
-    }
-    case 4: {  // cache entry names a bitstream the task table doesn't have
-      cache_.push_back(CacheEntry{hwtask::TaskId(0xBEEF), 0, 0,
-                                  ++cache_seq_, false});
-      return;
-    }
-    default:
-      break;
-  }
 }
 
 }  // namespace minova::hwmgr

@@ -37,6 +37,10 @@
 #include "hwtask/consistency.hpp"
 #include "nova/kernel.hpp"
 
+namespace minova::fuzz {
+class Sabotage;
+}  // namespace minova::fuzz
+
 namespace minova::hwmgr {
 
 // Consistency-record layout (§IV.C) — canonical home is
@@ -100,10 +104,11 @@ struct SchedConfig {
   /// region is available); >0 parks up to this many requests and answers
   /// kHwGrantQueued, reserving kBusy for true saturation.
   u32 queue_depth = 0;
-  /// PCAP bytes streamed on a cache hit: the cached bitstream only needs a
-  /// header re-link + ICAP handoff, not the full transfer.
-  u32 cache_hit_load_bytes = 1024;
 };
+
+/// PCAP bytes streamed on a bitstream-cache hit: the cached bitstream only
+/// needs a header re-link + ICAP handoff, not the full transfer.
+inline constexpr u32 kCacheHitLoadBytes = 1024;
 
 /// Per-PRR health, driven by PCAP transfer outcomes.
 enum class PrrHealth : u8 {
@@ -285,16 +290,10 @@ class ManagerService final : public nova::HwService {
     quota_override_[client] = quota;
   }
 
-  /// Deliberately corrupt scheduler state so the fuzz oracles can prove
-  /// they fire (mirrors Kernel::smp_sabotage_for_test). Kinds:
-  ///   1 = launch ledger contradicts the PRR table (ownership oracle)
-  ///   2 = saved register context diverges from the client's §IV.C record
-  ///   3 = a client holds more regions than its quota admits
-  ///   4 = a cache entry names a bitstream the task table doesn't have
-  /// Robust at any step: kinds that need live state synthesize it.
-  void sabotage_for_test(u32 kind);
-
  private:
+  // The fuzzer's mutation checks corrupt scheduler state on purpose.
+  friend class fuzz::Sabotage;
+
   /// One in-flight (or decided) reconfiguration per client.
   struct PendingReconfig {
     hwtask::TaskId task = hwtask::kInvalidTask;
@@ -379,7 +378,7 @@ class ManagerService final : public nova::HwService {
   // Remove `client`'s wait entry; when its preemption save is outstanding
   // and the client is live, rewrite the §IV.C record consistent (the save
   // is being abandoned, not resumed).
-  void drop_wait_entry(nova::PdId client, bool write_record);
+  void drop_wait_entry(nova::PdId client);
   // Grant regions to parked requests, highest priority first. Runs from
   // event/poll contexts over the physical bus; zero simulated charge.
   void pump_wait_queue();

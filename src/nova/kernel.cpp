@@ -479,47 +479,6 @@ bool Kernel::migrate_vm(PdId id, u32 target_core) {
   return true;
 }
 
-// ---- SMP: oracle mutation hooks (tests only) --------------------------------
-
-void Kernel::smp_sabotage_for_test(u32 kind) {
-  if (cores_.size() < 2) return;
-  switch (kind) {
-    case 1: {
-      // kCorePartition: link a runnable PD into a second core's run queue.
-      // enqueue() adopts the PD (fresh stamp), so the first core's list
-      // keeps a node the membership flags no longer admit to.
-      for (auto& p : pds_) {
-        if (p == nullptr || p->guest() == nullptr) continue;
-        if (!cores_[p->run_core].sched.is_runnable(p.get())) continue;
-        cores_[(p->run_core + 1) % cores_.size()].sched.enqueue(p.get());
-        return;
-      }
-      break;
-    }
-    case 2:
-      // kShootdownComplete: forge an ack for an epoch never issued and
-      // inflate the ack counter past what was sent.
-      cores_.back().shootdown_ack_epoch = tlb_epoch_ + 1;
-      cores_.back().shootdowns_acked += 3;
-      break;
-    case 3: {
-      // kCoreExclusivity: make the same PD current on two cores.
-      ProtectionDomain* victim = cur_core().current;
-      if (victim == nullptr)
-        for (auto& p : pds_)
-          if (p != nullptr && p->guest() != nullptr) {
-            victim = p.get();
-            break;
-          }
-      if (victim != nullptr)
-        cores_[(active_core_ + 1) % cores_.size()].current = victim;
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 // ---- lazy VM boot ------------------------------------------------------------
 
 bool Kernel::lazy_fault_fixup(ProtectionDomain& pd, vaddr_t va) {

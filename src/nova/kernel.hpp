@@ -44,6 +44,10 @@
 #include "nova/trap.hpp"
 #include "util/log.hpp"
 
+namespace minova::fuzz {
+class Sabotage;
+}  // namespace minova::fuzz
+
 namespace minova::nova {
 
 /// Virtual-only IRQ number for the per-VM virtual timer tick.
@@ -104,8 +108,8 @@ struct KernelConfig {
   // exercised up to 8). Default 1: every simulated quantity of the unicore
   // kernel — the configuration all Table III goldens were recorded on —
   // must stay bit-identical, and any num_cores > 1 necessarily changes
-  // scheduling interleavings. SMP runs opt in (bench_smp, fuzzer --cores,
-  // the MININOVA_TEST_CORES suites).
+  // scheduling interleavings. SMP runs opt in (run_all's smp section,
+  // fuzzer --cores, the MININOVA_TEST_CORES suites).
   u32 num_cores = 1;
   // Conservative-window synchronization: one slice of the lagging core may
   // run at most this far ahead before control returns to the outer loop,
@@ -210,10 +214,6 @@ class Kernel {
   /// (completion accounting: sent == sum of per-core acks + in-flight).
   u64 tlb_epoch() const { return tlb_epoch_; }
   u64 shootdowns_sent() const { return shootdowns_sent_; }
-  /// Deliberately corrupt per-core state so the fuzzer's SMP oracles can
-  /// prove they fire (mutation checks ONLY; see smp_sabotage kinds in
-  /// src/fuzz/scenario.hpp). Production code must never call this.
-  void smp_sabotage_for_test(u32 kind);
 
   // ---- simulation driving ----
   void run_for_us(double us) {
@@ -326,6 +326,8 @@ class Kernel {
   friend class KernelOps;
   // Read-only facade over kernel state for the fuzzer's invariant oracles.
   friend class KernelInspector;
+  // The fuzzer's mutation checks corrupt per-core state on purpose.
+  friend class fuzz::Sabotage;
   // The supervisor drives destroy_vm/create_vm and the service-call charge
   // from its reap/restart paths (DESIGN.md §16).
   friend class Supervisor;

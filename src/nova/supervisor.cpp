@@ -205,28 +205,4 @@ void Supervisor::poll() {
   }
 }
 
-void Supervisor::sabotage_for_test(u32 kind) {
-  switch (kind) {
-    case 1:  // sv-containment: a live record names a PD the kernel lacks
-      for (auto& r : records_)
-        if (r.live) {
-          r.pd = PdId(0xDEAD);
-          return;
-        }
-      break;
-    case 2:  // sv-restart-ledger: forge the restart accounting
-      stats_.restarts += 3;
-      break;
-    case 3:  // sv-quarantine: a quarantined record that is still live
-      for (auto& r : records_)
-        if (r.live) {
-          r.health = VmHealth::kQuarantined;
-          return;
-        }
-      break;
-    default:
-      break;
-  }
-}
-
 }  // namespace minova::nova

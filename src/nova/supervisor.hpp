@@ -39,6 +39,10 @@
 #include "nova/pd.hpp"
 #include "sim/stats.hpp"
 
+namespace minova::fuzz {
+class Sabotage;
+}  // namespace minova::fuzz
+
 namespace minova::nova {
 
 class Kernel;
@@ -170,13 +174,10 @@ class Supervisor {
   const VmRecord* record_for(PdId pd) const;
   const Stats& stats() const { return stats_; }
 
-  /// Deliberately corrupt supervisor state so the fuzzer's sv-* oracles can
-  /// prove they fire (mutation checks ONLY): 1 = live record names a bogus
-  /// PD (sv-containment), 2 = forge the restart ledger (sv-restart-ledger),
-  /// 3 = mark a live record quarantined (sv-quarantine).
-  void sabotage_for_test(u32 kind);
-
  private:
+  // The fuzzer's mutation checks corrupt supervisor state on purpose.
+  friend class fuzz::Sabotage;
+
   VmRecord* find(PdId pd);
   void condemn(VmRecord& r);
 

@@ -2,8 +2,8 @@
 // bit-identically, the clean digest actually covers the scheduler state,
 // and each of the four hw-task oracles demonstrably fires on its seeded
 // manager-state mutant (mutation checks — an oracle that cannot catch its
-// own sabotage is dead weight). The sabotage hooks live behind
-// ManagerService::sabotage_for_test and never run in production paths.
+// own sabotage is dead weight). The mutants come from fuzz::Sabotage::hw
+// (src/fuzz/sabotage.hpp), which production code never links.
 #include <gtest/gtest.h>
 
 #include "fuzz/scenario.hpp"

@@ -1,8 +1,8 @@
 // SMP fuzzing properties: multi-core scenarios replay bit-identically, and
 // each SMP oracle demonstrably fires on its seeded kernel-state mutant
 // (mutation checks — an oracle that cannot catch its own sabotage is dead
-// weight). The sabotage hooks live behind Kernel::smp_sabotage_for_test and
-// are vacuous on a unicore kernel, which is itself pinned here.
+// weight). The mutants come from fuzz::Sabotage::smp (src/fuzz/sabotage.hpp)
+// and are vacuous on a unicore kernel, which is itself pinned here.
 #include <gtest/gtest.h>
 
 #include "fuzz/scenario.hpp"

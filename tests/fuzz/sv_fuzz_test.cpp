@@ -3,8 +3,9 @@
 // crash-loop into quarantine — replay bit-identically, the digest covers the
 // supervisor's ledger, and each of the three supervisor oracles demonstrably
 // fires on its seeded state mutant (mutation checks — an oracle that cannot
-// catch its own sabotage is dead weight). The sabotage hooks live behind
-// Supervisor::sabotage_for_test and never run in production paths.
+// catch its own sabotage is dead weight). The mutants come from
+// fuzz::Sabotage::sv (src/fuzz/sabotage.hpp), which production code never
+// links.
 #include <gtest/gtest.h>
 
 #include "fuzz/scenario.hpp"
