@@ -10,6 +10,10 @@ machine-dependent and ignored.
 Integers must match exactly. Floats are compared with a tiny relative
 tolerance that only absorbs printf round-tripping, not behavioural drift.
 
+Every section (table3, density, smp, mt, prr_sched) is required. All of
+them are checked even when an earlier one fails, and the exit status is
+non-zero if any failed.
+
 Usage: check_table3.py BENCH_results.json [golden_table3.json]
 """
 import json
@@ -23,11 +27,17 @@ DENSITY_SPREAD_MAX = 0.10
 # PRR scheduler acceptance: the 4-entry cache must hold the sweep's hot
 # task set (ISSUE gate: >= 50% hit rate with the scheduler features on).
 PRR_HIT_RATE_MIN = 0.50
+# Preempt + park + resume may cost the high-priority client at most this
+# multiple of the legacy blind-reclaim grant latency.
+PRR_SCHED_LATENCY_MAX = 1.5
+
+
+class CheckFailed(Exception):
+    """A section violated a gate; main() reports it and checks the rest."""
 
 
 def fail(msg: str) -> None:
-    print(f"check_table3: FAIL: {msg}")
-    sys.exit(1)
+    raise CheckFailed(msg)
 
 
 def check_density(density: dict) -> None:
@@ -100,6 +110,17 @@ def check_prr_sched(ps: dict) -> None:
         if col("reclaims", i) != col("preemptions", i):
             print(f"  prr_sched {name} fell back to blind reclaim")
             bad += 1
+    # Uncached scheduler leg: the cache stays out of the way, and park +
+    # resume costs the high-priority client little over a blind reclaim.
+    if col("cache_hits", 1) + col("cache_misses", 1) != 0:
+        print(f"  prr_sched {configs[1]} leg generated cache traffic")
+        bad += 1
+    if float(col("avg_grant_us", 1)) >= (PRR_SCHED_LATENCY_MAX *
+                                         float(col("avg_grant_us", 0))):
+        print(f"  prr_sched {configs[1]} grant latency "
+              f"{col('avg_grant_us', 1)} us not below "
+              f"{PRR_SCHED_LATENCY_MAX}x legacy {col('avg_grant_us', 0)} us")
+        bad += 1
     # Cached leg (last config): hit rate and latency win.
     last = len(configs) - 1
     hit_rate = float(col("hit_rate", last))
@@ -138,7 +159,8 @@ def check_smp(smp: dict, t3: dict) -> None:
         fail("smp section must lead with a cores=1 point")
     rows = t3.get("sim_rows", {})
     bad = 0
-    for name in ("entry", "exit", "irq_entry", "exec", "total", "samples"):
+    for name in ("entry", "exit", "irq_entry", "exec", "total", "samples",
+                 "hypercalls", "irq_traps"):
         got = smp.get(name, [None])[0]
         want = rows.get(name, [None])[-1]  # table3's 4-guest column
         if got is None or want is None:
@@ -213,19 +235,8 @@ def check_mt(mt: dict, gates: dict) -> None:
     print("check_table3: mt OK — digests thread-invariant (no speedup gate)")
 
 
-def main() -> None:
-    if len(sys.argv) < 2:
-        fail("usage: check_table3.py BENCH_results.json [golden.json]")
-    results_path = pathlib.Path(sys.argv[1])
-    golden_path = (pathlib.Path(sys.argv[2]) if len(sys.argv) > 2 else
-                   pathlib.Path(__file__).parent / "golden_table3.json")
-
-    results = json.loads(results_path.read_text())
-    golden = json.loads(golden_path.read_text())
-
-    t3 = results.get("table3")
-    if t3 is None:
-        fail("no 'table3' section in results")
+def check_table3(t3: dict, golden: dict, golden_path: pathlib.Path) -> None:
+    """Diff the Table III rows against the golden, bit for bit."""
     if t3.get("sim_ms") != golden["sim_ms"]:
         fail(f"sim_ms mismatch: results ran {t3.get('sim_ms')} ms/config, "
              f"golden expects {golden['sim_ms']}")
@@ -258,21 +269,39 @@ def main() -> None:
     print(f"check_table3: OK — {len(golden['sim_rows'])} rows bit-identical "
           f"to {golden_path.name}")
 
-    density = results.get("density")
-    if density is not None:
-        check_density(density)
 
-    smp = results.get("smp")
-    if smp is not None:
-        check_smp(smp, t3)
+def main() -> None:
+    if len(sys.argv) < 2:
+        print("usage: check_table3.py BENCH_results.json [golden.json]")
+        sys.exit(2)
+    results_path = pathlib.Path(sys.argv[1])
+    golden_path = (pathlib.Path(sys.argv[2]) if len(sys.argv) > 2 else
+                   pathlib.Path(__file__).parent / "golden_table3.json")
 
-    mt = results.get("mt")
-    if mt is not None:
-        check_mt(mt, golden.get("host_gates", {}))
+    results = json.loads(results_path.read_text())
+    golden = json.loads(golden_path.read_text())
+    t3 = results.get("table3") or {}
 
-    prr = results.get("prr_sched")
-    if prr is not None:
-        check_prr_sched(prr)
+    sections = [
+        ("table3", lambda s: check_table3(s, golden, golden_path)),
+        ("density", check_density),
+        ("smp", lambda s: check_smp(s, t3)),
+        ("mt", lambda s: check_mt(s, golden.get("host_gates", {}))),
+        ("prr_sched", check_prr_sched),
+    ]
+    failed = []
+    for name, check in sections:
+        try:
+            if name not in results:
+                fail(f"no '{name}' section in results")
+            check(results[name])
+        except CheckFailed as e:
+            print(f"check_table3: FAIL: {e}")
+            failed.append(name)
+    if failed:
+        print(f"check_table3: {len(failed)} section(s) failed: "
+              f"{', '.join(failed)}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

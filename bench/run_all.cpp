@@ -47,9 +47,10 @@ int main(int argc, char** argv) {
   for (u32 g = 1; g <= 4; ++g)
     rows[g] = bench::run_virtualized(g, sim_ms, 42);
 
-  std::printf("run_all: SMP scaling 1/2/4 cores ...\n");
+  std::printf("run_all: SMP scaling 1/2/4/8 cores ...\n");
   std::vector<bench::SmpPoint> smp;
-  for (u32 c : {1u, 2u, 4u}) smp.push_back(bench::run_smp_point(c, sim_ms));
+  for (u32 c : {1u, 2u, 4u, 8u})
+    smp.push_back(bench::run_smp_point(c, sim_ms));
 
   std::printf("run_all: host-parallel 4 cores x 1/2/4 threads ...\n");
   std::vector<bench::MtPoint> mt;
@@ -123,11 +124,14 @@ int main(int argc, char** argv) {
                  jd(host_s).c_str(),
                  jd(host_s > 0 ? sim_us / host_s : 0.0).c_str());
   }
-  // SMP section: the same 4-guest configuration at 1/2/4 cores. The
-  // cores=1 latency row is golden-gated: check_table3.py asserts it is
-  // bit-identical to the table3 4-guest column above (the unicore kernel
-  // takes none of the SMP paths).
-  std::fprintf(f, "  },\n  \"smp\": {\n    \"cores\": [1, 2, 4],\n");
+  // SMP section: the same 4-guest configuration at 1/2/4/8 cores. The
+  // cores=1 latency and trap rows are golden-gated: check_table3.py asserts
+  // they are bit-identical to the table3 4-guest column above (the unicore
+  // kernel takes none of the SMP paths).
+  std::fprintf(f, "  },\n  \"smp\": {\n    \"cores\": [");
+  for (std::size_t i = 0; i < smp.size(); ++i)
+    std::fprintf(f, "%u%s", smp[i].cores, i + 1 < smp.size() ? ", " : "");
+  std::fprintf(f, "],\n");
   const auto smp_d = [&](const char* name,
                          double bench::Measurement::* m, bool last = false) {
     std::fprintf(f, "    \"%s\": [", name);
@@ -156,6 +160,15 @@ int main(int argc, char** argv) {
                    i + 1 < smp.size() ? ", " : "");
     std::fprintf(f, "],\n");
   }
+  const auto smp_m = [&](const char* name, u64 bench::Measurement::* m) {
+    std::fprintf(f, "    \"%s\": [", name);
+    for (std::size_t i = 0; i < smp.size(); ++i)
+      std::fprintf(f, "%llu%s", (unsigned long long)(smp[i].m.*m),
+                   i + 1 < smp.size() ? ", " : "");
+    std::fprintf(f, "],\n");
+  };
+  smp_m("hypercalls", &bench::Measurement::hypercalls);
+  smp_m("irq_traps", &bench::Measurement::irq_traps);
   smp_u("ipis_sent", &bench::SmpPoint::ipis_sent);
   smp_u("steals", &bench::SmpPoint::steals);
   smp_u("shootdowns_sent", &bench::SmpPoint::shootdowns_sent);

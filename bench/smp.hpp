@@ -1,4 +1,4 @@
-// SMP scaling points for bench_smp and run_all's "smp" JSON section: the
+// SMP scaling points for run_all's "smp" JSON section: the
 // Table III 4-guest configuration re-run with the kernel sliced across
 // 1..8 simulated cores. The cores=1 point must be bit-identical to the
 // plain Table III 4-guest row — that is the SMP refactor's regression
