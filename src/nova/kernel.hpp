@@ -115,9 +115,6 @@ struct KernelConfig {
   // run at most this far ahead before control returns to the outer loop,
   // bounding cross-core causality skew (IPIs, shared-device events).
   double smp_window_us = 50.0;
-  u32 ipi_send_cycles = 24;      // ICDSGIR write + DSB on the sender
-  u32 ipi_latency_cycles = 180;  // distributor -> target CPU interface
-  u32 steal_cycles = 90;         // remote run-queue lock + queue transfer
   // Host threads executing the per-round compute batch (DESIGN.md §14).
   // Purely a host-speed knob: every simulated number is bit-identical at
   // any value (enforced by the differential tests and the TSan CI leg).
@@ -139,22 +136,6 @@ struct KernelConfig {
   // kernel constructs no Supervisor and every simulated number stays
   // bit-identical to the pre-supervisor kernel.
   SupervisorConfig supervisor;
-
-  // Code-footprint model (bytes of kernel text per path); these sizes give
-  // the 5.4 kLOC kernel its cache behaviour. Calibrated against Table III.
-  u32 sz_vector = 64;
-  u32 sz_hc_entry = 256;
-  u32 sz_hc_exit = 416;
-  u32 sz_dispatch = 192;
-  u32 sz_irq_entry = 256;
-  u32 sz_tick = 352;
-  u32 sz_vm_switch = 384;
-  u32 sz_inject = 128;
-  u32 sz_abt_handler = 320;    // data-abort attribution + forwarding
-  u32 sz_handler_small = 160;  // register/IRQ/cache one-liners
-  u32 sz_handler_mm = 384;     // memory-management handlers
-  u32 sz_handler_hw = 224;     // hardware-task request path
-  u32 sz_service_call = 160;   // manager->kernel nested service calls
 };
 
 /// Introspection events: where an observer hook fires relative to kernel
@@ -381,9 +362,14 @@ class Kernel {
   /// private clock. Touches only the lane, the PD's own guest memory and
   /// the guest object — the whole thread-safety argument of §14.
   void exec_batch_item(BatchStep& s);
-  /// Serial epilogue of a deferred step: quantum accounting, halt/rotate/
-  /// park, local-clock advance. Batch (= core-id) order, deterministic.
+  /// Serial epilogue of a deferred step: step_epilogue, then the
+  /// local-clock advance. Batch (= core-id) order, deterministic.
   void commit_batch_item(BatchStep& s);
+  /// Scheduling tail of every dispatched guest step, inline or batched:
+  /// quantum charge, supervisor accounting (and reap), then halt/rotate/
+  /// park. `used` is the step's burn on whichever clock it ran under.
+  void step_epilogue(CoreContext& cc, ProtectionDomain& pd, StepExit exit,
+                     cycles_t used);
   /// Take the IRQ-class trap for every IPI that has arrived at `cc` and
   /// perform its action. Runs before any guest dispatch in the slice.
   void drain_ipis(CoreContext& cc);

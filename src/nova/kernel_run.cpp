@@ -147,41 +147,44 @@ bool Kernel::smp_slice(CoreContext& cc, cycles_t limit, bool allow_defer) {
 
   const cycles_t t0 = clock.now();
   const StepExit exit = pd->guest()->step(ctx, budget);
-  const cycles_t used = clock.now() - t0;
-  pd->quantum_left -= std::min(used, pd->quantum_left);
+  step_epilogue(cc, *pd, exit, clock.now() - t0);
+  return false;
+}
+
+void Kernel::step_epilogue(CoreContext& cc, ProtectionDomain& pd,
+                           StepExit exit, cycles_t used) {
+  pd.quantum_left -= std::min(used, pd.quantum_left);
 
   if (sup_ != nullptr) {
     // Watchdog accounting: a yield is progress (the guest chose to wait);
     // anything else charges the step's burn against the liveness budget.
-    // Detectors may condemn the VM here (or already have, inside the step
-    // via guest_fatal) — the reap must happen now, after the step returned
-    // and before the scheduler touches the dying PD again.
+    // Detectors may condemn the VM here (or already have, inside an inline
+    // step via guest_fatal; a batched compute step cannot raise a fatal,
+    // but its burn can trip the budget) — the reap must happen now, after
+    // the step returned and before the scheduler touches the dying PD again.
     if (exit == StepExit::kYield)
-      sup_->pet(pd->id());
+      sup_->pet(pd.id());
     else
-      sup_->on_guest_ran(pd->id(), used);
-    if (sup_->condemned(pd->id())) {
+      sup_->on_guest_ran(pd.id(), used);
+    if (sup_->condemned(pd.id())) {
       // Reap via the full destroy_vm teardown (it dequeues the PD, clears
       // the current pointer with the MMU fallback, strips ownership and
       // recycles everything).
-      sup_->reap(*pd);
-      return false;
+      sup_->reap(pd);
+      return;
     }
   }
 
   if (exit == StepExit::kHalt) {
-    cc.sched.remove(pd);
-    if (cc.current == pd) cc.current = nullptr;
-    return false;
-  }
-  if (pd->quantum_left == 0) {
-    cc.sched.rotate(pd);
+    cc.sched.remove(&pd);
+    if (cc.current == &pd) cc.current = nullptr;
+  } else if (pd.quantum_left == 0) {
+    cc.sched.rotate(&pd);
   } else if (exit == StepExit::kYield) {
     // Nothing to do until an event: park so lower-priority PDs (or the
-    // idle loop) get the CPU. A deliverable vIRQ unparks it above.
-    set_parked(*pd, true);
+    // idle loop) get the CPU. A deliverable vIRQ unparks it in smp_slice.
+    set_parked(pd, true);
   }
-  return false;
 }
 
 // Batch phase (DESIGN.md §14): run one deferred compute step on its core's
@@ -200,36 +203,11 @@ void Kernel::exec_batch_item(BatchStep& s) {
   lane.set_clock(&platform_.clock());
 }
 
-// Serial epilogue of a deferred step — the exact tail of the inline path
-// in smp_slice, with the lane clock's end time standing in for the global
-// clock reading.
+// Serial epilogue of a deferred step — the inline path's epilogue, with
+// the lane clock's end time standing in for the global clock reading.
 void Kernel::commit_batch_item(BatchStep& s) {
   CoreContext& cc = cores_[s.core_id];
-  ProtectionDomain* pd = s.pd;
-  const cycles_t used = s.end - s.start;
-  pd->quantum_left -= std::min(used, pd->quantum_left);
-  if (sup_ != nullptr) {
-    // Mirror of the inline epilogue. A compute step cannot raise a fatal
-    // (hypercalls/faults are banned there), but its burn still counts
-    // against the watchdog budget — and the budget can trip here.
-    if (s.exit == StepExit::kYield)
-      sup_->pet(pd->id());
-    else
-      sup_->on_guest_ran(pd->id(), used);
-    if (sup_->condemned(pd->id())) {
-      sup_->reap(*pd);
-      cc.local_now = std::max(cc.local_now + 1, s.end);
-      return;
-    }
-  }
-  if (s.exit == StepExit::kHalt) {
-    cc.sched.remove(pd);
-    if (cc.current == pd) cc.current = nullptr;
-  } else if (pd->quantum_left == 0) {
-    cc.sched.rotate(pd);
-  } else if (s.exit == StepExit::kYield) {
-    set_parked(*pd, true);
-  }
+  step_epilogue(cc, *s.pd, s.exit, s.end - s.start);
   cc.local_now = std::max(cc.local_now + 1, s.end);
 }
 
@@ -250,13 +228,14 @@ void Kernel::switch_active_core(u32 target) {
 }
 
 void Kernel::send_ipi(u32 target, IpiKind kind, u32 arg, u64 epoch) {
+  constexpr u32 kIpiSendCycles = 24;      // ICDSGIR write + DSB on the sender
+  constexpr u32 kIpiLatencyCycles = 180;  // distributor -> target CPU interface
   if (cores_.size() <= 1 || target == active_core_) return;
   auto& core = platform_.cpu();
   // ICDSGIR distributor write + synchronization barrier on the sender.
   core.spend(core.caches().access_device());
-  core.spend(cfg_.ipi_send_cycles);
-  const cycles_t arrival =
-      platform_.clock().now() + cfg_.ipi_latency_cycles;
+  core.spend(kIpiSendCycles);
+  const cycles_t arrival = platform_.clock().now() + kIpiLatencyCycles;
   cores_[target].ipis.push_back({kind, arg, epoch, arrival});
   ++cur_core().ipis_sent;
   c_ipi_sent_.inc();
@@ -342,7 +321,8 @@ ProtectionDomain* Kernel::try_steal(CoreContext& thief) {
         });
     if (pd == nullptr) continue;
     // Remote run-queue lock + cache-line transfer of the queue nodes.
-    platform_.cpu().spend(cfg_.steal_cycles);
+    constexpr u32 kStealCycles = 90;
+    platform_.cpu().spend(kStealCycles);
     victim.sched.take(pd);
     // Lazily-switched state the PD left in the victim lane's banks must be
     // written back before the PD can run elsewhere (a real kernel flushes

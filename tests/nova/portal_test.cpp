@@ -77,7 +77,7 @@ TEST(PortalTableTest, ExhaustiveCapabilityDenialMatrix) {
 
 TEST(PortalTableTest, CostClassesMatchTheBootTimeLayout) {
   // The mm/hw groupings drive the code-layout placement: they must stay in
-  // sync with the configured sz_handler_* model.
+  // sync with the kSzHandler* text sizes in Kernel::boot.
   EXPECT_EQ(portal_cost_class(Hypercall::kMapInsert), PortalCost::kMm);
   EXPECT_EQ(portal_cost_class(Hypercall::kMapRemove), PortalCost::kMm);
   EXPECT_EQ(portal_cost_class(Hypercall::kPtCreate), PortalCost::kMm);
