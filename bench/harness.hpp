@@ -1,6 +1,7 @@
-// Shared measurement harness for the Table III / Fig. 9 benches: runs the
-// paper's Fig. 8 setup (native, or N paravirtualized guests) and collects
-// the hardware-task-management latencies.
+// Shared measurement harness for run_all's table3, smp and ablations
+// sections: runs the paper's Fig. 8 setup (native, or N paravirtualized
+// guests, optionally reconfigured) and collects the hardware-task-management
+// latencies plus the system counters the design-choice ablations compare.
 //
 // The harness is self-timing: every run records host wall-clock seconds
 // alongside the simulated time, so each bench can report the simulation
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <string>
 
 #include "ucos/native.hpp"
@@ -29,6 +31,17 @@ struct Measurement {
   double utlb_hit_rate = 0, tlb_hit_rate = 0;
   double l1d_hit_rate = 0, l2_hit_rate = 0;
   u64 tlb_va_flushes = 0;
+  double tlb_miss_rate = 0, l1i_miss_rate = 0;
+  u64 tlb_flushes = 0;  // full invalidations (every VM switch without ASIDs)
+  // System counters (virtualized runs only). vfp_transfers counts moves of
+  // the VFP frame: one per lazy trap, or save + restore on every switch.
+  u64 vm_switches = 0, vfp_transfers = 0, guest_ticks = 0;
+  // T_hw client totals and the manager/PCAP traffic behind them.
+  u64 requests = 0, grants = 0, busy = 0, jobs = 0;
+  u64 grants_no_reconfig = 0, reclaims = 0, pcaps = 0;
+  // SMP protocol volume (zero on one core).
+  u64 ipis_sent = 0, steals = 0, shootdowns_sent = 0, shootdown_acks = 0;
+  u64 cross_core_irqs = 0;
   // Host-side self-timing: wall-clock cost of this run and the resulting
   // simulation rate (simulated microseconds per host second).
   double host_seconds = 0;
@@ -57,7 +70,10 @@ class HostTimer {
 inline void collect_memory_rates(Measurement& m, cpu::Core& core) {
   const auto& ts = core.tlb().stats();
   m.tlb_hit_rate = ts.hit_rate();
+  m.tlb_miss_rate = ts.miss_rate();
   m.tlb_va_flushes = ts.va_flushes;
+  m.tlb_flushes = ts.flushes;
+  m.l1i_miss_rate = core.caches().l1i().stats().miss_rate();
   m.utlb_hit_rate = core.mmu().micro_stats().hit_rate();
   const auto& l1d = core.caches().l1d().stats();
   m.l1d_hit_rate = 1.0 - l1d.miss_rate();
@@ -85,11 +101,16 @@ inline Measurement run_native(double sim_ms, u64 seed,
   return m;
 }
 
-inline Measurement run_virtualized(u32 guests, double sim_ms, u64 seed,
-                                   ucos::SystemConfig cfg = {}) {
+/// Runs `guests` paravirtualized guests for `sim_ms`. `cfg` selects the
+/// kernel, platform and workload variant; `before_run` tunes the built
+/// system (manager policy switches) before simulated time starts.
+inline Measurement run_virtualized(
+    u32 guests, double sim_ms, u64 seed, ucos::SystemConfig cfg = {},
+    const std::function<void(ucos::VirtualizedSystem&)>& before_run = {}) {
   cfg.num_guests = guests;
   cfg.seed = seed;
   ucos::VirtualizedSystem sys(cfg);
+  if (before_run) before_run(sys);
   detail::HostTimer timer;
   sys.run_for_us(sim_ms * 1000.0);
   Measurement m;
@@ -105,10 +126,29 @@ inline Measurement run_virtualized(u32 guests, double sim_ms, u64 seed,
   }
   if (lat.pl_irq_entry_us.count() > 0)
     m.irq_entry = lat.pl_irq_entry_us.mean();
-  auto& stats = sys.kernel().platform().stats();
-  m.hypercalls = stats.counter("kernel.trap.hypercall");
-  m.irq_traps = stats.counter("kernel.trap.irq");
+  const auto& stats = sys.kernel().platform().stats();
+  m.hypercalls = stats.counter_value("kernel.trap.hypercall");
+  m.irq_traps = stats.counter_value("kernel.trap.irq");
   detail::collect_memory_rates(m, sys.kernel().platform().cpu());
+  m.vm_switches = sys.kernel().vm_switch_count();
+  m.vfp_transfers = cfg.kernel.lazy_vfp
+                        ? stats.counter_value("kernel.vfp_lazy_switches")
+                        : 2 * m.vm_switches;
+  for (u32 g = 0; g < sys.num_guests(); ++g)
+    m.guest_ticks += sys.guest(g).os().tick_count();
+  const auto thw = sys.total_thw_stats();
+  m.requests = thw.requests;
+  m.grants = thw.grants;
+  m.busy = thw.busy_retries;
+  m.jobs = thw.jobs_completed;
+  m.grants_no_reconfig = sys.manager().stats().grants_no_reconfig;
+  m.reclaims = sys.manager().stats().reclaims;
+  m.pcaps = sys.platform().pcap().transfers_completed();
+  m.ipis_sent = stats.counter_value("kernel.ipi.sent");
+  m.steals = stats.counter_value("kernel.smp.steals");
+  m.shootdowns_sent = sys.kernel().shootdowns_sent();
+  m.shootdown_acks = stats.counter_value("kernel.smp.shootdown_acks");
+  m.cross_core_irqs = stats.counter_value("kernel.irq.cross_core");
   return m;
 }
 
