@@ -10,11 +10,11 @@ machine-dependent and ignored.
 Integers must match exactly. Floats are compared with a tiny relative
 tolerance that only absorbs printf round-tripping, not behavioural drift.
 
-The table3, ablations and pcap sections are diffed against the golden by
-one function (golden_diff); the sections that carry a claim also get shape
-gates, so a regenerated golden cannot silently drop the claim. Every
-section (table3, density, smp, mt, prr_sched, ablations, pcap) is
-required. All of them are checked even when an earlier one fails, and the
+The table3, ablations, pcap, footprint and hw_vs_sw sections are diffed
+against the golden by one function (golden_diff); the sections that carry
+a claim also get shape gates, so a regenerated golden cannot silently drop
+the claim. Every section (table3, density, smp, mt, prr_sched, ablations,
+pcap, footprint, hw_vs_sw) is required. All of them are checked even when an earlier one fails, and the
 exit status is non-zero if any failed.
 
 Usage: check_table3.py BENCH_results.json [golden_table3.json]
@@ -38,6 +38,9 @@ PRR_SCHED_LATENCY_MAX = 1.5
 PCAP_BLOCKING_MIN_RATIO = 50.0
 # PCAP throughput is one constant rate: latency scales with .bit size.
 PCAP_RATE_SPREAD_MAX = 0.01
+# §V.B: the kernel provides 25 hypercalls in a 20 MB runtime footprint.
+PAPER_HYPERCALLS = 25
+PAPER_RESERVATION_MAX_BYTES = 20 * 10**6
 
 
 class CheckFailed(Exception):
@@ -278,12 +281,15 @@ def golden_diff(name: str, got: dict, want: dict, label_key: str) -> int:
     return bad
 
 
-def shape_gates(name: str, gates: list) -> int:
-    """Print every (claim, holds) gate that does not hold; return the count."""
-    bad = [claim for claim, holds in gates if not holds]
-    for claim in bad:
+def shape_gates(name: str, diverged: int, gates: list) -> None:
+    """Print every (claim, holds) gate that does not hold; fail the section
+    if any did or if `diverged` values differed from the golden."""
+    broken = [claim for claim, holds in gates if not holds]
+    for claim in broken:
         print(f"  {name} shape gate violated: {claim}")
-    return len(bad)
+    if diverged or broken:
+        fail(f"{name}: {diverged} value(s) diverged from golden, "
+             f"{len(broken)} shape gate(s) violated")
 
 
 def check_table3(t3: dict, golden: dict) -> None:
@@ -294,9 +300,7 @@ def check_table3(t3: dict, golden: dict) -> None:
     growth does not decelerate with the OS count (it only does in runs of
     several seconds; EXPERIMENTS.md).
     """
-    bad = golden_diff("table3", t3, golden, "configs")
-    if bad:
-        fail(f"{bad} simulated value(s) diverged from golden")
+    shape_gates("table3", golden_diff("table3", t3, golden, "configs"), [])
     print(f"check_table3: table3 OK — {len(golden['sim_rows'])} rows "
           f"bit-identical to the golden")
 
@@ -314,7 +318,7 @@ def check_ablations(ab: dict, golden: dict) -> None:
     pcaps = [v("pcaps", p) for p in floorplans]
     jobs = [v("jobs", p) for p in floorplans]
     others = ("first_fit", "lru_region")
-    bad += shape_gates("ablations", [
+    shape_gates("ablations", bad, [
         ("ASID mode takes no full TLB flush",
          v("tlb_flushes", "paper_2os") == 0 == v("tlb_flushes", "paper_4os")),
         *[(f"flush mode flushes on every VM switch ({g})",
@@ -345,9 +349,6 @@ def check_ablations(ab: dict, golden: dict) -> None:
         (f"jobs do not fall from 1L+1S to 4L+4S: {jobs}",
          all(a <= b for a, b in zip(jobs, jobs[1:]))),
     ])
-    if bad:
-        fail(f"{bad} ablation value(s) diverged from golden or broke a "
-             "shape gate")
     print(f"check_table3: ablations OK — {len(idx)} variants bit-identical, "
           f"blocking PCAP "
           f"{v('total', 'pcap_blocking') / v('total', 'paper_2os'):.0f}x "
@@ -360,7 +361,7 @@ def check_pcap(pc: dict, golden: dict) -> None:
     bad = golden_diff("pcap", pc, golden, "tasks")
     rows = pc["sim_rows"]
     rate = rows["kib_per_ms"]
-    bad += shape_gates("pcap", [
+    shape_gates("pcap", bad, [
         *[(f"{t} measured latency equals the model",
            math.isclose(m, model, rel_tol=REL_TOL))
           for t, m, model in zip(pc["tasks"], rows["measured_us"],
@@ -369,11 +370,60 @@ def check_pcap(pc: dict, golden: dict) -> None:
          f"({min(rate):.1f}..{max(rate):.1f} KiB/ms)",
          max(rate) / min(rate) - 1.0 <= PCAP_RATE_SPREAD_MAX),
     ])
-    if bad:
-        fail(f"{bad} PCAP value(s) diverged from golden or broke a shape "
-             "gate")
     print(f"check_table3: pcap OK — {len(pc['tasks'])} tasks at model "
           f"latency, {min(rate):.1f}..{max(rate):.1f} KiB/ms")
+
+
+def check_footprint(fp: dict, golden: dict, density: dict) -> None:
+    """Golden-diff the §V.B footprint, then gate the paper's claims and the
+    lazy-boot accounting against the density sweep."""
+    bad = golden_diff("footprint", fp, golden, "configs")
+    cost = {c: (heap, pt) for c, heap, pt in
+            zip(fp["configs"], fp["sim_rows"]["heap_bytes_per_vm"],
+                fp["sim_rows"]["pt_bytes_per_vm"])}
+    dens = density.get("heap_bytes_per_vm", [])
+    shape_gates("footprint", bad, [
+        (f"{PAPER_HYPERCALLS} hypercalls",
+         fp["hypercalls"] == PAPER_HYPERCALLS),
+        ("lazy boot holds no page tables before first touch",
+         cost["lazy"][1] == 0),
+        ("lazy boot after first touch holds the eager page tables",
+         cost["lazy_touched"][1] == cost["eager"][1]),
+        (f"lazy-boot heap per VM {cost['lazy'][0]} B equals every density "
+         f"point {sorted(set(dens))}",
+         bool(dens) and all(h == cost["lazy"][0] for h in dens)),
+        ("kernel text laid out within its region",
+         0 < fp["kernel_text_bytes"] <= fp["kernel_text_region_bytes"]),
+        ("kernel reservation within the paper's 20 MB",
+         fp["reservation_bytes"] <= PAPER_RESERVATION_MAX_BYTES),
+    ])
+    print(f"check_table3: footprint OK — {fp['hypercalls']} hypercalls, "
+          f"{fp['kernel_text_bytes']} B kernel text, "
+          f"{fp['reservation_bytes'] // 2**20} MiB reservation")
+
+
+def check_hw_vs_sw(hv: dict, golden: dict, pcap: dict) -> None:
+    """Golden-diff the §I motivation; a resident hardware task must beat
+    software by more as the FFT grows, and a cold one must pay the PCAP."""
+    bad = golden_diff("hw_vs_sw", hv, golden, "tasks")
+    rows = hv["sim_rows"]
+    model = dict(zip(pcap.get("tasks", []),
+                     pcap.get("sim_rows", {}).get("model_us", [])))
+    speedup = rows["speedup"]
+    shape_gates("hw_vs_sw", bad, [
+        *[(f"{t} warm hardware faster than software", w < s)
+          for t, s, w in zip(hv["tasks"], rows["sw_us"], rows["hw_warm_us"])],
+        ("warm speedup rises strictly with size: "
+         f"{[round(x, 1) for x in speedup]}",
+         all(a < b for a, b in zip(speedup, speedup[1:]))),
+        *[(f"{t} cold - warm >= the pcap model's "
+           f"{model.get(t, math.nan):.1f} us",
+           t in model and c - w >= model[t])
+          for t, c, w in zip(hv["tasks"], rows["hw_cold_us"],
+                             rows["hw_warm_us"])],
+    ])
+    print(f"check_table3: hw_vs_sw OK — warm speedup "
+          f"{', '.join(f'{x:.1f}x' for x in speedup)} over {hv['tasks']}")
 
 
 def main() -> None:
@@ -396,6 +446,10 @@ def main() -> None:
         ("prr_sched", check_prr_sched),
         ("ablations", lambda s: check_ablations(s, golden["ablations"])),
         ("pcap", lambda s: check_pcap(s, golden["pcap"])),
+        ("footprint", lambda s: check_footprint(
+            s, golden["footprint"], results.get("density") or {})),
+        ("hw_vs_sw", lambda s: check_hw_vs_sw(
+            s, golden["hw_vs_sw"], results.get("pcap") or {})),
     ]
     failed = []
     for name, check in sections:

@@ -9,12 +9,12 @@
 // machine-dependent and reported alongside (harness.hpp convention).
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "nova/kernel.hpp"
 
 namespace minova::bench {
@@ -76,9 +76,9 @@ inline DensityPoint measure_density(u32 vms, u32 rotations = 2) {
 
   const u64 sw0 = kernel.vm_switch_count();
   const u64 cy0 = kernel.vm_switch_cycles_total();
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = detail::now_s();
   kernel.run_for_us(rotation_us * rotations);
-  const auto t1 = std::chrono::steady_clock::now();
+  const double host_s = detail::now_s() - t0;
 
   DensityPoint p;
   p.vms = vms;
@@ -86,9 +86,7 @@ inline DensityPoint measure_density(u32 vms, u32 rotations = 2) {
   if (p.switches > 0) {
     p.sim_cycles_per_switch =
         double(kernel.vm_switch_cycles_total() - cy0) / double(p.switches);
-    p.host_ns_per_switch =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        double(p.switches);
+    p.host_ns_per_switch = host_s * 1e9 / double(p.switches);
   }
   p.heap_bytes_per_vm = double(heap_after - heap_before) / double(vms);
   p.asid_generation = kernel.asid_generation();

@@ -33,8 +33,8 @@ struct Measurement {
   u64 tlb_va_flushes = 0;
   double tlb_miss_rate = 0, l1i_miss_rate = 0;
   u64 tlb_flushes = 0;  // full invalidations (every VM switch without ASIDs)
-  // System counters (virtualized runs only). vfp_transfers counts moves of
-  // the VFP frame: one per lazy trap, or save + restore on every switch.
+  // System counters (virtualized runs only). vfp_transfers counts VFP frame
+  // saves and restores, lazy (on the UND trap) or eager (on every switch).
   u64 vm_switches = 0, vfp_transfers = 0, guest_ticks = 0;
   // T_hw client totals and the manager/PCAP traffic behind them.
   u64 requests = 0, grants = 0, busy = 0, jobs = 0;
@@ -53,19 +53,12 @@ struct Measurement {
 
 namespace detail {
 
-/// Monotonic host stopwatch wrapped around a run.
-class HostTimer {
- public:
-  HostTimer() : start_(std::chrono::steady_clock::now()) {}
-  double elapsed_s() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
+/// Monotonic host clock, in seconds: every bench section's stopwatch.
+inline double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 inline void collect_memory_rates(Measurement& m, cpu::Core& core) {
   const auto& ts = core.tlb().stats();
@@ -88,10 +81,10 @@ inline Measurement run_native(double sim_ms, u64 seed,
   Platform platform;
   cfg.seed = seed;
   ucos::NativeSystem sys(platform, cfg);
-  detail::HostTimer timer;
+  const double t0 = detail::now_s();
   sys.run_for_us(sim_ms * 1000.0);
   Measurement m;
-  m.host_seconds = timer.elapsed_s();
+  m.host_seconds = detail::now_s() - t0;
   m.sim_us = sim_ms * 1000.0;
   auto& exec = sys.allocator().exec_us();
   if (exec.count() > 0) m.exec = exec.mean();
@@ -111,10 +104,10 @@ inline Measurement run_virtualized(
   cfg.seed = seed;
   ucos::VirtualizedSystem sys(cfg);
   if (before_run) before_run(sys);
-  detail::HostTimer timer;
+  const double t0 = detail::now_s();
   sys.run_for_us(sim_ms * 1000.0);
   Measurement m;
-  m.host_seconds = timer.elapsed_s();
+  m.host_seconds = detail::now_s() - t0;
   m.sim_us = sim_ms * 1000.0;
   auto& lat = sys.kernel().hwmgr_latencies();
   if (lat.entry_us.count() > 0) {
@@ -131,9 +124,7 @@ inline Measurement run_virtualized(
   m.irq_traps = stats.counter_value("kernel.trap.irq");
   detail::collect_memory_rates(m, sys.kernel().platform().cpu());
   m.vm_switches = sys.kernel().vm_switch_count();
-  m.vfp_transfers = cfg.kernel.lazy_vfp
-                        ? stats.counter_value("kernel.vfp_lazy_switches")
-                        : 2 * m.vm_switches;
+  m.vfp_transfers = stats.counter_value("kernel.vfp_frames");
   for (u32 g = 0; g < sys.num_guests(); ++g)
     m.guest_ticks += sys.guest(g).os().tick_count();
   const auto thw = sys.total_thw_stats();

@@ -16,10 +16,10 @@
 // machine-dependent and reported alongside (harness.hpp convention).
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "hwmgr/manager.hpp"
 #include "hwtask/library.hpp"
 #include "nova/kernel.hpp"
@@ -105,7 +105,7 @@ inline PrrSchedPoint measure_prr_sched(const std::string& name,
   p.iterations = iterations;
 
   u64 latency_cycles = 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = detail::now_s();
   for (u32 it = 0; it < iterations; ++it) {
     // Both large regions saturated by the low-priority owners.
     request(low0, kLowA);
@@ -137,9 +137,7 @@ inline PrrSchedPoint measure_prr_sched(const std::string& name,
     release(low1, kLowB);
     drain();
   }
-  p.host_seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
+  p.host_seconds = detail::now_s() - t0;
 
   p.stats = manager.stats();
   const u64 looked_up = p.stats.cache_hits + p.stats.cache_misses;

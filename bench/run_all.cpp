@@ -4,11 +4,14 @@
 //              Fig. 9 ratios next to the paper's values
 //   smp        the 4-guest configuration at 1/2/4/8 simulated cores
 //   mt         the host-parallel engine at 1/2/4 host threads
-//   selftime   memory fast path, reference vs live engine (host ns/op)
+//   selftime   memory fast path, reference vs live engine (host ns/op),
+//              plus host-only L1D and guest-payload timings
 //   density    VM switch cost and heap per VM from 8 to 1024 VMs, churn
 //   prr_sched  PRR-scheduler contention sweep
 //   ablations  the paper's design choices against their alternatives
 //   pcap       PCAP reconfiguration latency vs bitstream size
+//   footprint  §V.B: hypercalls, kernel text, reservation, per-VM cost
+//   hw_vs_sw   §I: software FFT vs the DPR hardware task, cold and warm
 //
 // The JSON separates two kinds of numbers:
 //   * simulated quantities (latency rows, trap counts, hit rates) — these
@@ -29,7 +32,9 @@
 #include <vector>
 
 #include "density.hpp"
+#include "footprint.hpp"
 #include "harness.hpp"
+#include "hw_vs_sw.hpp"
 #include "mt.hpp"
 #include "pl/pcap.hpp"
 #include "prr_sched.hpp"
@@ -321,6 +326,7 @@ int main(int argc, char** argv) {
 
   std::printf("run_all: self-timing mixes ...\n");
   const auto mixes = bench::run_all_mixes();
+  const auto prims = bench::run_primitives();
 
   std::printf("run_all: density sweep 8 -> 1024 VMs ...\n");
   std::vector<bench::DensityPoint> density;
@@ -344,6 +350,10 @@ int main(int argc, char** argv) {
 
   std::printf("run_all: PCAP latency vs bitstream size ...\n");
   const auto pcap = run_pcap_sweep();
+
+  std::printf("run_all: footprint and hardware vs software ...\n");
+  const bench::Footprint fp = bench::measure_footprint();
+  const auto hvs = bench::run_hw_vs_sw();
 
   // ---- JSON ----
   Obj root(0);
@@ -418,7 +428,11 @@ int main(int argc, char** argv) {
                             .col("new_ns_per_op", mixes, &R::new_ns_per_op)
                             .col("speedup", mixes, &R::speedup)
                             .col("sim_us_per_host_s", mixes,
-                                 &R::sim_us_per_host_s));
+                                 &R::sim_us_per_host_s)
+                            .kv("l1d_hit_ns_per_op", prims.l1d_hit_ns)
+                            .kv("l1d_stream_ns_per_op", prims.l1d_stream_ns)
+                            .kv("fft1024_payload_us", prims.fft1024_us)
+                            .kv("adpcm1024_payload_us", prims.adpcm1024_us));
   }
   {
     using D = bench::DensityPoint;
@@ -482,6 +496,36 @@ int main(int argc, char** argv) {
                                        &PcapPoint::measured_us)
                                   .col("kib_per_ms", pcap,
                                        &PcapPoint::kib_per_ms)));
+  {
+    using C = bench::PerVmCost;
+    root.kv("footprint",
+            Obj(1)
+                .kv("hypercalls", fp.hypercalls)
+                .kv("kernel_text_bytes", fp.kernel_text_bytes)
+                .kv("kernel_text_region_bytes", nova::kKernelTextSize)
+                .kv("kernel_heap_bytes", fp.kernel_heap_bytes)
+                .kv("reservation_bytes", fp.reservation_bytes)
+                .kv("resident_kib", fp.resident_kib)
+                .col("configs", fp.per_vm, &C::config)
+                .kv("sim_rows",
+                    Obj(2)
+                        .col("heap_bytes_per_vm", fp.per_vm, &C::heap_bytes)
+                        .col("pt_bytes_per_vm", fp.per_vm, &C::pt_bytes)));
+  }
+  {
+    using H = bench::HwVsSwPoint;
+    root.kv("hw_vs_sw", Obj(1)
+                            .col("tasks", hvs, &H::task)
+                            .kv("sim_rows", Obj(2)
+                                                .col("points", hvs, &H::points)
+                                                .col("sw_us", hvs, &H::sw_us)
+                                                .col("hw_cold_us", hvs,
+                                                     &H::hw_cold_us)
+                                                .col("hw_warm_us", hvs,
+                                                     &H::hw_warm_us)
+                                                .col("speedup", hvs,
+                                                     &H::speedup)));
+  }
 
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -503,6 +547,10 @@ int main(int argc, char** argv) {
   for (const auto& m : mixes)
     std::printf("  selftime %-12s %.1f -> %.1f ns/op (%.2fx)\n",
                 m.name.c_str(), m.ref_ns_per_op, m.new_ns_per_op, m.speedup);
+  std::printf("  selftime L1D hit %.1f ns, streaming L1D %.1f ns, payload "
+              "FFT-1024 %.1f us, ADPCM 1024-sample block %.1f us\n",
+              prims.l1d_hit_ns, prims.l1d_stream_ns, prims.fft1024_us,
+              prims.adpcm1024_us);
   for (const auto& p : prr)
     std::printf("  prr_sched %-11s preempt %llu reclaim %llu hit %.1f%% "
                 "grant %.2f us\n",
@@ -539,5 +587,24 @@ int main(int argc, char** argv) {
                 util::TextTable::fmt_double(p.kib_per_ms, 0)});
   std::printf("\nPCAP reconfiguration latency vs bitstream size\n%s",
               pt.to_string().c_str());
+
+  std::printf("\nFootprint (paper SV.B): %u hypercalls (paper 25), %u B kernel "
+              "text (~40 KB ELF), %u B kernel heap, %u MiB reservation "
+              "(20 MB), %llu KiB resident after boot (4 guests)\n",
+              fp.hypercalls, fp.kernel_text_bytes, fp.kernel_heap_bytes,
+              fp.reservation_bytes / kMiB, (unsigned long long)fp.resident_kib);
+  for (const auto& c : fp.per_vm)
+    std::printf("  per VM, %-12s %u B kernel heap, %u B page tables\n",
+                c.config.c_str(), c.heap_bytes, c.pt_bytes);
+
+  util::TextTable ht({"FFT size", "software (us)", "hw cold (us, +PCAP)",
+                      "hw warm (us)", "speedup (warm)"});
+  for (const auto& h : hvs)
+    ht.add_row({h.task, util::TextTable::fmt_double(h.sw_us, 1),
+                util::TextTable::fmt_double(h.hw_cold_us, 1),
+                util::TextTable::fmt_double(h.hw_warm_us, 1),
+                util::TextTable::fmt_double(h.speedup, 1) + "x"});
+  std::printf("\nMotivation (paper SI): software DSP vs DPR hardware task\n%s",
+              ht.to_string().c_str());
   return 0;
 }

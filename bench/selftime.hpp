@@ -9,7 +9,6 @@
 // construction (DESIGN.md §10).
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,11 +17,14 @@
 #include "cache/hierarchy.hpp"
 #include "cache/ref_tlb.hpp"
 #include "cache/tlb.hpp"
+#include "harness.hpp"
+#include "hwtask/fft_core.hpp"
 #include "mem/phys_mem.hpp"
 #include "mmu/mmu.hpp"
 #include "mmu/page_table.hpp"
 #include "sim/clock.hpp"
 #include "util/rng.hpp"
+#include "workloads/adpcm.hpp"
 
 namespace minova::bench {
 
@@ -156,12 +158,6 @@ struct Fixture {
   }
 };
 
-inline double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace detail
 
 /// Deterministic trace mixes over a 512-page region. Each stresses a
@@ -284,6 +280,47 @@ inline std::vector<MixResult> run_all_mixes(u64 trace_len = 20'000,
   for (const char* mix : {"hot", "resident", "miss", "asid_thrash"})
     r.push_back(run_mix(mix, trace_len, reps));
   return r;
+}
+
+/// Host cost of what no mix isolates: an L1D hit, a streaming L1D access
+/// (a new line every access), and the guest payload the Fig. 8 workloads
+/// run natively (one FFT-1024 frame, one 1024-sample ADPCM block). Host
+/// numbers only; nothing here is simulated state or golden-diffed.
+struct PrimitiveTimes {
+  double l1d_hit_ns = 0, l1d_stream_ns = 0;
+  double fft1024_us = 0, adpcm1024_us = 0;
+};
+
+inline PrimitiveTimes run_primitives() {
+  u64 sink = 0;  // consumed below so no loop body is optimized away
+  const auto per_op_s = [](u32 n, auto&& op) {
+    const double t0 = detail::now_s();
+    for (u32 i = 0; i < n; ++i) op(i);
+    return (detail::now_s() - t0) / n;
+  };
+  PrimitiveTimes out;
+  cache::MemHierarchy hot, stream;
+  hot.access_data(0x1000, false);
+  out.l1d_hit_ns = 1e9 * per_op_s(1'000'000, [&](u32) {
+    sink += hot.access_data(0x1000, false);
+  });
+  out.l1d_stream_ns = 1e9 * per_op_s(1'000'000, [&](u32 i) {
+    sink += stream.access_data(paddr_t(i) * 32, false);
+  });
+  hwtask::FftCore fft(1024);
+  const std::vector<u8> frame(1024 * 8, 0x5A);
+  out.fft1024_us = 1e6 * per_op_s(200, [&](u32) {
+    sink += fft.process(frame).front();
+  });
+  workloads::AdpcmCodec::State st;
+  std::vector<i16> pcm(1024);
+  for (std::size_t i = 0; i < pcm.size(); ++i) pcm[i] = i16((i * 37) % 8000);
+  out.adpcm1024_us = 1e6 * per_op_s(2'000, [&](u32) {
+    sink += workloads::AdpcmCodec::encode(pcm, st).front();
+  });
+  volatile u64 keep = sink;
+  (void)keep;
+  return out;
 }
 
 }  // namespace minova::bench

@@ -129,4 +129,6 @@ void Sabotage::sv(nova::Supervisor& sup, u32 kind) {
   }
 }
 
+void Sabotage::caps(nova::ProtectionDomain& pd, u32 caps) { pd.caps_ = caps; }
+
 }  // namespace minova::fuzz

@@ -12,6 +12,7 @@
 
 namespace minova::nova {
 class Kernel;
+class ProtectionDomain;
 class Supervisor;
 }  // namespace minova::nova
 
@@ -28,6 +29,9 @@ class Sabotage {
   static void smp(nova::Kernel& kernel, u32 kind);  // no-op below 2 cores
   static void hw(hwmgr::ManagerService& manager, u32 kind);
   static void sv(nova::Supervisor& sup, u32 kind);
+  /// Overwrites the capability mask without rebuilding the portal table:
+  /// the caps/portal inconsistency the portal-caps oracle must catch.
+  static void caps(nova::ProtectionDomain& pd, u32 caps);
 };
 
 }  // namespace minova::fuzz

@@ -46,8 +46,10 @@ class KernelInspector {
     return irq < mem::kNumIrqs ? k_.irq_owner_[irq] : kInvalidPd;
   }
   PdId pcap_owner() const { return k_.pcap_owner_; }
-  /// VFP ownership is per lane; this reports the active core's bank.
-  PdId vfp_owner() const { return k_.vfp_owner_[k_.active_core_]; }
+  /// The PD whose VFP frame core `i`'s bank holds (out-of-range clamps to 0).
+  PdId vfp_owner(u32 i) const {
+    return k_.vfp_owner_[i < k_.vfp_owner_.size() ? i : 0];
+  }
 
   /// Core 0's run queue — kept for unicore oracles/tests; SMP-aware code
   /// should sweep `core(i).runqueue()` for i in [0, num_cores()).

@@ -475,7 +475,7 @@ bool Kernel::migrate_vm(PdId id, u32 target_core) {
   // Write back lazily-switched state left in the source lane's banks
   // (charged to the migrating caller, like the steal path).
   if (vfp_owner_[from.id] == pd->id()) {
-    pd->vcpu().save_vfp(platform_.lane(from.id));
+    save_vfp(*pd, platform_.lane(from.id));
     vfp_owner_[from.id] = kInvalidPd;
   }
   if (l2ctrl_owner_[from.id] == pd->id()) {
@@ -648,12 +648,22 @@ void Kernel::vfp_access(ProtectionDomain& pd) {
                    rg_vector_, TrapKind::kVfpSwitch);
     trap.exec(rg_handlers_[u32(Hypercall::kRegWrite)]);  // shared stub
     if (ProtectionDomain* old_owner = pd_by_id(owner))
-      old_owner->vcpu().save_vfp(core);
-    pd.vcpu().restore_vfp(core);
+      save_vfp(*old_owner, core);
+    restore_vfp(pd, core);
     owner = pd.id();
   }
   c_vfp_lazy_.inc();
   notify_introspection(KernelEvent::kTrapExit, TrapKind::kVfpSwitch);
+}
+
+void Kernel::save_vfp(ProtectionDomain& pd, cpu::Core& lane) {
+  pd.vcpu().save_vfp(lane);
+  c_vfp_frames_.inc();
+}
+
+void Kernel::restore_vfp(ProtectionDomain& pd, cpu::Core& lane) {
+  pd.vcpu().restore_vfp(lane);
+  c_vfp_frames_.inc();
 }
 
 // ---- the hypercall gate ------------------------------------------------------

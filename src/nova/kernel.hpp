@@ -287,6 +287,8 @@ class Kernel {
   KernelHeap& heap() { return heap_; }
   /// Page-table pool accounting (footprint/density instrumentation).
   const mmu::PageTableAllocator& pt_pool() const { return pt_alloc_; }
+  /// Bytes of kernel text laid out at boot (footprint instrumentation).
+  u32 text_bytes() const { return code_.bytes_used(); }
   const KernelConfig& config() const { return cfg_; }
   HwMgrLatencies& hwmgr_latencies() { return hwmgr_lat_; }
   const std::string& console() const { return console_; }
@@ -315,6 +317,10 @@ class Kernel {
 
   // -- run-loop pieces --
   void boot();
+  /// VFP frame moves between a lane's bank and a vCPU save area, lazy or
+  /// eager; each one bumps `kernel.vfp_frames` (Table I's transfer count).
+  void save_vfp(ProtectionDomain& pd, cpu::Core& lane);
+  void restore_vfp(ProtectionDomain& pd, cpu::Core& lane);
   /// Allocate an ASID tag; on generation rollover performs the one full TLB
   /// flush and immediately re-tags the running VM (its old tag is retired
   /// but still loaded in CONTEXTIDR — leaving it would let the recycler
@@ -444,6 +450,8 @@ class Kernel {
       "kernel.guest_faults")};
   sim::CounterHandle c_vfp_lazy_{platform_.stats().handle(
       "kernel.vfp_lazy_switches")};
+  sim::CounterHandle c_vfp_frames_{platform_.stats().handle(
+      "kernel.vfp_frames")};
   sim::CounterHandle c_portal_denied_{platform_.stats().handle(
       "kernel.portal_denied")};
   sim::CounterHandle c_unrouted_irq_{platform_.stats().handle(

@@ -329,7 +329,7 @@ ProtectionDomain* Kernel::try_steal(CoreContext& thief) {
     // dirty FPU state on migration); the save is charged to the thief,
     // which performs it.
     if (vfp_owner_[victim.id] == pd->id()) {
-      pd->vcpu().save_vfp(platform_.lane(victim.id));
+      save_vfp(*pd, platform_.lane(victim.id));
       vfp_owner_[victim.id] = kInvalidPd;
     }
     if (l2ctrl_owner_[victim.id] == pd->id()) {
@@ -499,7 +499,7 @@ void Kernel::vm_switch(ProtectionDomain* to) {
     } else {
       cur->vgic().mask_all_physical(core);
     }
-    if (!cfg_.lazy_vfp) cur->vcpu().save_vfp(core);
+    if (!cfg_.lazy_vfp) save_vfp(*cur, core);
     if (!cfg_.lazy_l2ctrl) cur->vcpu().save_l2ctrl(core);
   }
   // Lazy ASID revalidation: a VM holding a tag from a retired generation
@@ -511,7 +511,7 @@ void Kernel::vm_switch(ProtectionDomain* to) {
     core.mmu().tlb_flush_all();
     core.spend(40);
   }
-  if (!cfg_.lazy_vfp) to->vcpu().restore_vfp(core);
+  if (!cfg_.lazy_vfp) restore_vfp(*to, core);
   if (!cfg_.lazy_l2ctrl) to->vcpu().restore_l2ctrl(core);
   to->vgic().unmask_enabled_physical(core);
   cur = to;

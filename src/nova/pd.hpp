@@ -23,6 +23,10 @@
 #include "util/assert.hpp"
 #include "util/types.hpp"
 
+namespace minova::fuzz {
+class Sabotage;
+}  // namespace minova::fuzz
+
 namespace minova::nova {
 
 using PdId = u32;
@@ -96,12 +100,6 @@ class ProtectionDomain {
     space_ = std::move(s);
   }
 
-  /// Mutation hook for oracle sanity tests ONLY: overwrites the capability
-  /// mask *without* rebuilding the portal table, deliberately seeding a
-  /// caps/portal inconsistency for the fuzzer's invariant suite to catch.
-  /// Production code must never call this.
-  void set_caps_for_test(u32 caps) { caps_ = caps; }
-
   void attach_guest(std::unique_ptr<GuestOs> guest) {
     guest_ = std::move(guest);
   }
@@ -156,6 +154,9 @@ class ProtectionDomain {
   std::array<u32, 8> sysregs{};
 
  private:
+  // The fuzzer's mutation checks desync the caps from the portal table.
+  friend class fuzz::Sabotage;
+
   PdId id_;
   std::string name_;
   u32 priority_;

@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "../nova/stub_guest.hpp"
+#include "fuzz/sabotage.hpp"
 #include "hwmgr/manager.hpp"
 #include "mem/address_map.hpp"
 #include "nova/kernel.hpp"
@@ -146,7 +147,7 @@ TEST_F(OracleMutationTest, PortalCapsCatchesStaleDenialFlags) {
   // Capability mask dropped without rebuilding the portal table: portals
   // still grant authority the caps no longer carry.
   ASSERT_NE(vm1_->caps(), 0u);
-  vm1_->set_caps_for_test(nova::kCapNone);
+  fuzz::Sabotage::caps(*vm1_, nova::kCapNone);
   expect_fires(Oracle::kPortalCaps);
 }
 

@@ -278,6 +278,8 @@ TEST_F(KernelTest, LazyVfpSwitchesOnlyOnCrossVmUse) {
   EXPECT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 1u);
   c1.use_vfp();  // ownership moves
   EXPECT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 2u);
+  // Frames moved: vm0's restore, then vm0's save and vm1's restore.
+  EXPECT_EQ(stats.counter_value("kernel.vfp_frames"), 3u);
 }
 
 TEST_F(KernelTest, TlbSurvivesVmSwitchWithAsids) {

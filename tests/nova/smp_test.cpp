@@ -149,6 +149,53 @@ TEST(SmpStealTest, IdleCoreStealsFromLoadedSibling) {
   EXPECT_GT(raw2->steps, 0u);
 }
 
+TEST(SmpStealTest, StealWritesBackTheVictimLanesVfpFrame) {
+  // vm0 stamps the VFP in its first slice on core 0 and is then preempted
+  // by vm2, so core 0's bank holds vm0's frame while vm0 waits queued. Once
+  // vm1 halts, idle core 1 steals vm0: the steal must write the frame back
+  // into vm0's vCPU and release core 0's bank.
+  constexpr u64 kStamp = 0x5EA1'F00D'CAFE'0001ull;
+  Platform platform;
+  Kernel kernel(platform, smp_cfg(2));
+  KernelInspector insp(kernel);
+  ProtectionDomain* vm0 = nullptr;
+  bool stamped = false, checked_on_thief = false;
+  u64 seen_on_thief = 0;
+  vm0 = &kernel.create_vm(
+      "vm0", 1,
+      std::make_unique<StubGuest>([&](GuestContext& ctx, cycles_t budget) {
+        if (!stamped) {
+          ctx.use_vfp();
+          ctx.core().vfp().d[5] = kStamp;
+          stamped = true;
+        } else if (vm0->run_core == 1 && !checked_on_thief) {
+          ctx.use_vfp();  // lazy trap on the thief lane restores the frame
+          seen_on_thief = ctx.core().vfp().d[5];
+          checked_on_thief = true;
+        }
+        ctx.spend_insns(budget / 2 + 1);
+        return StepExit::kBudget;
+      }));
+  // vm1 keeps core 1 busy past vm0's first slice, then leaves it idle.
+  kernel.create_vm(
+      "vm1", 1,
+      std::make_unique<StubGuest>([](GuestContext& ctx, cycles_t budget) {
+        if (ctx.now_us() > 1'500) return StepExit::kHalt;
+        ctx.spend_insns(budget / 2 + 1);
+        return StepExit::kBudget;
+      }));
+  kernel.create_vm("vm2", 1, std::make_unique<StubGuest>(burn_step()));
+  ASSERT_EQ(vm0->run_core, 0u);
+  kernel.run_for_us(10'000);
+
+  ASSERT_TRUE(stamped);
+  EXPECT_GE(insp.core(1).steals(), 1u);
+  EXPECT_EQ(vm0->run_core, 1u);
+  EXPECT_EQ(insp.vfp_owner(0), kInvalidPd);  // victim bank released
+  ASSERT_TRUE(checked_on_thief);
+  EXPECT_EQ(seen_on_thief, kStamp);  // the frame survived the move
+}
+
 TEST(SmpStealTest, UnicoreNeverSteals) {
   Platform platform;
   Kernel kernel(platform);
